@@ -15,17 +15,17 @@ from dataclasses import dataclass, field
 from repro.cc.driver import compile_program
 from repro.experiments.runner import ExperimentRunner, QUICK_PAIRS, format_table
 from repro.sim.branch import HybridPredictor, simulate_predictor
-from repro.sim.cache import CacheConfig, simulate_cache
+from repro.sim.cache import sweep_cache_sizes
 from repro.sim.functional import run_binary
 from repro.synthesis.baseline import synthesize_linear
 
-_CACHE = CacheConfig(8 * 1024, 32, 4)
+_CACHE_SIZE = 8 * 1024  # 32-byte lines, 4-way: the sweep defaults
 
 
 def _metrics(trace) -> dict:
     mix = trace.instruction_mix().paper_mix()
     branch = simulate_predictor(trace.branch_log, HybridPredictor()).accuracy
-    cache = simulate_cache(trace.mem_addrs, _CACHE).hit_rate
+    cache = sweep_cache_sizes(trace.mem_addrs, [_CACHE_SIZE])[_CACHE_SIZE]
     return {"mix": mix, "branch_accuracy": branch, "cache_hit_rate": cache}
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 from pathlib import Path
 
 from repro.obs.trace import chrome_trace, load_trace, summarize
@@ -95,7 +97,17 @@ def main(argv=None) -> int:
     export.set_defaults(func=_cmd_export)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``repro-trace summary ... | head``).
+        # Point stdout at devnull so the exit-time flush cannot raise
+        # again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests

@@ -5,18 +5,23 @@ Each static memory instruction gets a hit/miss ratio against the
 the paper's Fig. 7 sweep) and is classified into one of the nine Table I
 miss-rate classes, which map to byte strides 0..32 assuming 32-byte lines.
 
-Additionally, per-instruction miss rates are measured at every sweep size
-in one pass (Hill & Smith-style, the paper's citation [13]); the smallest
-cache at which an access stops missing estimates its working set, which
-the synthesizer uses to size the stride-walk arrays.
+Additionally, per-instruction miss rates are measured at every sweep size:
+one :func:`repro.sim.cache.lru_hits` replay of the trace per size gives
+per-access hit flags, and one walk over the accesses that missed somewhere
+attributes the misses to their instructions.  The smallest cache at which
+an access stops missing estimates its working set, which the synthesizer
+uses to size the stride-walk arrays.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from repro.isa.machine import Binary
-from repro.sim.cache import Cache, CacheConfig
+from repro.sim.cache import CacheConfig, lru_hits
 from repro.sim.trace import ExecutionTrace
 
 # Table I: class index -> stride in bytes (32-byte line, 32-bit words).
@@ -95,29 +100,33 @@ def profile_memory(
     line_bytes: int = 32,
     associativity: int = 4,
 ) -> MemoryProfile:
-    """Replay the memory trace, attributing hits/misses per instruction."""
+    """Replay the memory trace once per sweep size, attributing each
+    miss to the instruction that issued it."""
     uids_per_block = _memory_uids_per_block(binary)
-    caches = [
-        Cache(CacheConfig(size, line_bytes, associativity)) for size in sweep_sizes
-    ]
-    sizes = list(sweep_sizes)
+    uids = [uid for gbid in trace.block_seq for uid in uids_per_block[gbid]]
+    addrs = trace.mem_addrs
     profile = MemoryProfile(profile_size=profile_size)
+    rows = []
+    for size in sweep_sizes:
+        hits = lru_hits(addrs, CacheConfig(size, line_bytes, associativity))
+        profile.hit_rates_by_size[size] = (
+            hits.count(1) / len(hits) if hits else 1.0)
+        rows.append((size, hits))
     stats = profile.stats
-    mem_addrs = trace.mem_addrs
-    mem_idx = 0
-    for gbid in trace.block_seq:
-        for uid in uids_per_block[gbid]:
-            addr = mem_addrs[mem_idx]
-            mem_idx += 1
-            entry = stats.get(uid)
-            if entry is None:
-                entry = MemoryStats(uid=uid, profile_size=profile_size)
-                stats[uid] = entry
-            entry.accesses += 1
-            for size, cache in zip(sizes, caches):
-                if not cache.access(addr):
-                    misses = entry.misses_by_size
+    for uid, count in Counter(uids).items():  # first-access order
+        stats[uid] = MemoryStats(uid=uid, accesses=count,
+                                 profile_size=profile_size)
+    if rows:
+        # Only accesses that miss at some size need walking: AND-ing the
+        # flag rows as big integers leaves a zero byte at exactly those.
+        hit_everywhere = reduce(
+            and_, (int.from_bytes(hits, "little") for _, hits in rows)
+        ).to_bytes(len(addrs), "little")
+        i = hit_everywhere.find(0)
+        while i >= 0:
+            misses = stats[uids[i]].misses_by_size
+            for size, hits in rows:
+                if not hits[i]:
                     misses[size] = misses.get(size, 0) + 1
-    for size, cache in zip(sizes, caches):
-        profile.hit_rates_by_size[size] = cache.hit_rate
+            i = hit_everywhere.find(0, i + 1)
     return profile

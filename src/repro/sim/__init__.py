@@ -6,8 +6,10 @@ linked :class:`repro.isa.machine.Binary` and records an
 :class:`ExecutionTrace` (dynamic block sequence + data addresses + branch
 outcomes).  Everything downstream is trace-driven:
 
-* :mod:`repro.sim.cache` — set-associative LRU caches, multi-size sweeps
-  (Figs. 7, 8, 10);
+* :mod:`repro.sim.cache` — set-associative LRU caches: the one stream
+  kernel (``lru_hits``) behind memory profiling, the multi-size sweeps
+  (Figs. 7, 8, 10) and the replay kernels' L1/L2 latency codes, plus
+  the per-access ``Cache`` the python timing models drive;
 * :mod:`repro.sim.branch` — bimodal / gshare / hybrid predictors (Fig. 9);
 * :mod:`repro.sim.timing_common` — the shared replay core: decoded
   binaries (weakly cached, one decode per live binary),

@@ -1,13 +1,16 @@
 """Set-associative LRU data-cache simulation.
 
-Used in three places, mirroring the paper's setup:
+Two implementations of one LRU level live here:
 
-* during profiling, to classify every static memory instruction into Table I
-  hit/miss classes (done in :mod:`repro.profiling.memory_profile`);
-* for Figs. 7/8's hit-rate-vs-size sweeps (``sweep_cache_sizes`` replays
-  one recorded address stream against many configurations in one pass,
-  like Hill & Smith's single-pass evaluation the paper cites);
-* inside the timing models (per-access ``access()`` calls).
+* :func:`lru_hits`, the stream kernel: it replays a whole recorded
+  address stream and returns one hit flag per access.  Every stream
+  consumer is built on it, one call per cache configuration:
+  per-instruction Table I classification during profiling
+  (:mod:`repro.profiling.memory_profile`), Figs. 7/8's hit-rate-vs-size
+  sweeps (:func:`sweep_cache_sizes`) and the L1/L2 latency codes of the
+  batched replay kernel (:mod:`repro.sim.kernels`);
+* :class:`Cache`, the per-access reference model the python timing
+  models drive access by access; the tests pin the kernel against it.
 """
 
 from __future__ import annotations
@@ -87,13 +90,6 @@ class Cache:
         """Record one access's resolved latency (hit, L2, or memory)."""
         self.latency_hist.add(cycles)
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.latency_hist = ExpHistogram()
-        for ways in self.sets:
-            ways.clear()
-
 
 def simulate_cache(addresses, config: CacheConfig) -> Cache:
     """Replay *addresses* (byte granularity) through a fresh cache."""
@@ -104,6 +100,37 @@ def simulate_cache(addresses, config: CacheConfig) -> Cache:
     return cache
 
 
+def lru_hits(addresses, config: CacheConfig) -> bytearray:
+    """One hit flag (1 = hit) per access of *addresses* through one fresh
+    LRU level — the flags :meth:`Cache.access` would return, access by
+    access.
+
+    A repeat of the line just touched is a guaranteed hit on the
+    most-recently-used way and leaves the LRU order unchanged, so it
+    keeps its hit flag without touching the sets.
+    """
+    shift = config.line_bytes.bit_length() - 1
+    num_sets = config.num_sets
+    assoc = config.associativity
+    sets = [dict() for _ in range(num_sets)]
+    hits = bytearray(b"\x01") * len(addresses)
+    last = None
+    for i, addr in enumerate(addresses):
+        line = addr >> shift
+        if line == last:
+            continue
+        last = line
+        ways = sets[line % num_sets]
+        # The pop is the lookup: a hit takes the line out for re-insertion
+        # at the MRU end, a miss returns the default.
+        if ways.pop(line, True):
+            hits[i] = 0
+            if len(ways) >= assoc:
+                del ways[next(iter(ways))]
+        ways[line] = None
+    return hits
+
+
 def sweep_cache_sizes(
     addresses,
     sizes_bytes,
@@ -112,38 +139,13 @@ def sweep_cache_sizes(
 ) -> dict[int, float]:
     """Hit rate per cache size for one recorded address stream.
 
-    All configurations are evaluated in a single pass over the stream,
-    with the per-config geometry (line shift, set count, LRU state)
-    hoisted out of the access loop: every config shares one line-number
-    computation per address instead of re-deriving shift and set masks
-    inside ``Cache.access`` for each of them.  Results are pinned
-    against per-config :class:`Cache` replays by the regression suite.
+    One :func:`lru_hits` replay per size; pinned against per-config
+    :class:`Cache` replays by the regression suite.
     """
-    configs = [
-        CacheConfig(size, line_bytes, associativity) for size in sizes_bytes
-    ]
-    shift = line_bytes.bit_length() - 1
-    assoc = associativity
-    states = list(enumerate(
-        (config.num_sets, [dict() for _ in range(config.num_sets)])
-        for config in configs))
-    hits = [0] * len(configs)
-    misses = [0] * len(configs)
-    for addr in addresses:
-        line = addr >> shift
-        for i, (num_sets, sets) in states:
-            ways = sets[line % num_sets]
-            if line in ways:
-                del ways[line]  # refresh LRU position
-                ways[line] = None
-                hits[i] += 1
-            else:
-                misses[i] += 1
-                if len(ways) >= assoc:
-                    ways.pop(next(iter(ways)))
-                ways[line] = None
+    total = len(addresses)
     results = {}
-    for config, hit, miss in zip(configs, hits, misses):
-        total = hit + miss
-        results[config.size_bytes] = hit / total if total else 1.0
+    for size in sizes_bytes:
+        hits = lru_hits(addresses,
+                        CacheConfig(size, line_bytes, associativity))
+        results[size] = hits.count(1) / total if total else 1.0
     return results

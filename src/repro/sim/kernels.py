@@ -11,10 +11,10 @@ vectorize exactly and a part that cannot:
 * **Cache and branch-predictor state depend only on the recorded
   streams** (``mem_addrs`` / ``branch_log``), never on timing.  So
   per-access memory latencies and per-branch mispredict bits are
-  precomputed in one pass each (:func:`_cache_sim`,
-  :func:`_predictor_sim`) — with consecutive same-line accesses
-  collapsed, since a repeat access to the line just touched is a
-  guaranteed L1 hit that leaves the LRU state unchanged — and the
+  precomputed up front — latency codes by :func:`_cache_sim`, which
+  runs the shared LRU stream kernel
+  (:func:`repro.sim.cache.lru_hits`) over L1 and then over the L1
+  misses for L2, and mispredicts by :func:`_predictor_sim` — and the
   hit/miss/accuracy scalars plus both exp-histograms are reconstructed
   from those arrays without ever running the cycle loop.
 
@@ -55,6 +55,7 @@ except ImportError:  # pragma: no cover - the test image ships numpy
     HAVE_NUMPY = False
 
 from repro.obs.metrics import bucket_index
+from repro.sim.cache import lru_hits
 from repro.sim.timing_common import TimingResult
 
 #: ``auto`` switches to the numpy kernel at this many dynamic
@@ -430,76 +431,35 @@ def pack_cache_size() -> int:
 
 
 def _cache_sim(mem, config):
-    """Replay the address stream through the L1/L2 geometry in one pass.
+    """Per-access L1/L2 latency codes for the address stream.
 
     Returns ``(codes, l1_hits, l1_misses)`` where ``codes[i]`` is 0 for
     an L1 hit, 1 for an L2 hit and 2 for a memory access — exactly the
     latency class the python models resolve per access.  Consecutive
-    accesses to one L1 line are collapsed before the python LRU loop:
-    the repeat is a guaranteed hit on the most-recently-used way, so
-    counts, codes and LRU state are unchanged by simulating only the
-    first access of each run.
+    accesses to one L1 line are collapsed before the LRU replay (the
+    repeat is a guaranteed hit on the most-recently-used way, so codes
+    and LRU state are unchanged by simulating only the first access of
+    each run); :func:`~repro.sim.cache.lru_hits` then replays the kept
+    addresses through L1, and the L1 misses through L2.
     """
     n = mem.size
     codes = np.zeros(n, dtype=np.uint8)
     if n == 0:
         return codes, 0, 0
     l1 = config.l1
-    shift1 = l1.line_bytes.bit_length() - 1
-    lines1 = mem >> shift1
+    lines1 = mem >> (l1.line_bytes.bit_length() - 1)
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     np.not_equal(lines1[1:], lines1[:-1], out=keep[1:])
     kept = np.flatnonzero(keep)
-    collapsed = lines1[kept]
-    sets1 = collapsed % l1.num_sets
-    l2 = config.l2
-    if l2 is not None:
-        shift2 = l2.line_bytes.bit_length() - 1
-        lines2 = mem[kept] >> shift2
-        sets2 = lines2 % l2.num_sets
-        l2_lines = lines2.tolist()
-        l2_sets = sets2.tolist()
-        l2_ways = [dict() for _ in range(l2.num_sets)]
-        assoc2 = l2.associativity
-    m = kept.size
-    out = bytearray(m)
-    l1_ways: list[dict] = [dict() for _ in range(l1.num_sets)]
-    assoc1 = l1.associativity
-    hits = 0
-    misses = 0
-    l1_lines = collapsed.tolist()
-    l1_sets = sets1.tolist()
-    has_l2 = l2 is not None
-    for i in range(m):
-        line = l1_lines[i]
-        ways = l1_ways[l1_sets[i]]
-        if line in ways:
-            del ways[line]  # refresh LRU position
-            ways[line] = None
-            hits += 1
-        else:
-            misses += 1
-            if len(ways) >= assoc1:
-                del ways[next(iter(ways))]
-            ways[line] = None
-            if has_l2:
-                line2 = l2_lines[i]
-                ways2 = l2_ways[l2_sets[i]]
-                if line2 in ways2:
-                    del ways2[line2]
-                    ways2[line2] = None
-                    out[i] = 1
-                else:
-                    if len(ways2) >= assoc2:
-                        del ways2[next(iter(ways2))]
-                    ways2[line2] = None
-                    out[i] = 2
-            else:
-                out[i] = 2
-    codes[kept] = np.frombuffer(bytes(out), dtype=np.uint8)
-    hits += n - m  # every collapsed repeat is an L1 hit
-    return codes, hits, misses
+    l1_hit = np.frombuffer(lru_hits(mem[kept].tolist(), l1), dtype=np.uint8)
+    missed = kept[l1_hit == 0]
+    codes[missed] = 2
+    if config.l2 is not None:
+        l2_hit = np.frombuffer(lru_hits(mem[missed].tolist(), config.l2),
+                               dtype=np.uint8)
+        codes[missed] -= l2_hit
+    return codes, n - missed.size, missed.size
 
 
 _HISTORY_MASK = 0xFFF  # HybridPredictor's 12 history bits

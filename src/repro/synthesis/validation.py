@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from repro.cc.driver import compile_program
 from repro.profiling.profile import StatisticalProfile
 from repro.sim.branch import HybridPredictor, simulate_predictor
-from repro.sim.cache import CacheConfig, simulate_cache
+from repro.sim.cache import sweep_cache_sizes
 from repro.sim.functional import run_binary
 from repro.sim.trace import ExecutionTrace
 from repro.synthesis.synthesizer import SyntheticBenchmark, synthesize
 
-_PROFILE_CACHE = CacheConfig(8 * 1024, 32, 4)
+_PROFILE_CACHE_SIZE = 8 * 1024  # 32-byte lines, 4-way: the sweep defaults
 
 
 @dataclass
@@ -76,9 +76,10 @@ def validate_clone(
         abs(original_mix[key] - clone_mix[key]) for key in original_mix
     ) / len(original_mix)
     # Cache distance at the profiling size.
-    clone_hit = simulate_cache(trace.mem_addrs, _PROFILE_CACHE).hit_rate
+    clone_hit = sweep_cache_sizes(
+        trace.mem_addrs, [_PROFILE_CACHE_SIZE])[_PROFILE_CACHE_SIZE]
     original_hit = profile.memory.hit_rates_by_size.get(
-        _PROFILE_CACHE.size_bytes, clone_hit
+        _PROFILE_CACHE_SIZE, clone_hit
     )
     cache_distance = abs(clone_hit - original_hit)
     # Branch distance.

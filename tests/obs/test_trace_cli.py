@@ -1,6 +1,10 @@
 """The ``repro-trace`` CLI: summary, export, record delegation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,27 @@ class TestSummary:
         path = Tracer().save(tmp_path / "empty.json")
         assert main(["summary", str(path)]) == 0
         assert "no spans recorded" in capsys.readouterr().out
+
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        """``repro-trace summary trace.json | head -1``: a summary far
+        larger than the pipe buffer, read one line and then abandoned,
+        must end without a ``BrokenPipeError`` traceback."""
+        tracer = Tracer()
+        for i in range(4000):
+            tracer.add_span(f"s{i}", f"category-{i:05d}", 0.0, 0.001)
+        path = tracer.save(tmp_path / "wide.json")
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.obs", "summary", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"category")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 class TestExport:

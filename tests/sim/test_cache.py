@@ -2,7 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import Cache, CacheConfig, simulate_cache, sweep_cache_sizes
+from repro.sim.cache import (
+    Cache,
+    CacheConfig,
+    lru_hits,
+    simulate_cache,
+    sweep_cache_sizes,
+)
 
 
 class TestBasicBehaviour:
@@ -113,21 +119,46 @@ class TestSweep:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.lists(st.integers(0, 1 << 18), min_size=0, max_size=400),
+        st.lists(st.tuples(st.integers(0, 1 << 11), st.integers(1, 3)),
+                 min_size=100, max_size=400),
         st.sampled_from([16, 32, 64]),
         st.sampled_from([1, 2, 4, 8]),
     )
-    def test_sweep_matches_per_config_cache_replay(self, addrs, line,
+    def test_sweep_matches_per_config_cache_replay(self, runs, line,
                                                    assoc):
-        """Pin the single-pass sweep (hoisted shift/set geometry)
-        against a per-config :class:`Cache` replay of the same stream —
-        hit rates must agree exactly for every size."""
+        """Pin the stream kernel against a per-config :class:`Cache`
+        replay of the same stream: ``lru_hits`` flag by flag, and the
+        sweep's hit rates exactly, for every size.  Addresses span 2 KB,
+        so lines are reused and evicted at the small sizes, and each
+        repeats 1-3 times in a row (byte offsets within its line), so
+        the kernel's repeat-skip path is exercised."""
+        addrs = [addr + k for addr, reps in runs for k in range(reps)]
         sizes = [512, 2048, 8192, 64 * 1024]
         swept = sweep_cache_sizes(addrs, sizes, line_bytes=line,
                                   associativity=assoc)
         for size in sizes:
-            cache = simulate_cache(addrs, CacheConfig(size, line, assoc))
+            config = CacheConfig(size, line, assoc)
+            cache = Cache(config)
+            expected = bytearray(cache.access(addr) for addr in addrs)
+            assert lru_hits(addrs, config) == expected, (size, line, assoc)
             assert swept[size] == cache.hit_rate, (size, line, assoc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1 << 14), min_size=0, max_size=400),
+        st.sampled_from([16, 32, 64]),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 2, 4, 8, 16]),
+    )
+    def test_lru_inclusion_when_sets_double(self, addrs, line, assoc, sets):
+        """LRU inclusion across set counts: at fixed line size and
+        associativity, an access that hits with S sets also hits with 2S
+        sets (each big-cache set holds a refinement of a small-cache
+        set's lines)."""
+        small = lru_hits(addrs, CacheConfig(sets * line * assoc, line, assoc))
+        big = lru_hits(addrs, CacheConfig(2 * sets * line * assoc, line,
+                                          assoc))
+        assert all(b >= s for s, b in zip(small, big))
 
     def test_sweep_empty_stream_reports_unit_hit_rate(self):
         assert sweep_cache_sizes([], [1024]) == {1024: 1.0}
@@ -143,9 +174,3 @@ class TestLatencyHistogram:
         assert data["min"] == 2
         assert data["max"] == 120
         assert sum(data["buckets"].values()) == 4
-
-    def test_reset_clears_histogram(self):
-        cache = Cache(CacheConfig(1024, 32, 2))
-        cache.record_latency(5)
-        cache.reset()
-        assert cache.latency_hist.count == 0
