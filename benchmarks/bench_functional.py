@@ -78,14 +78,14 @@ def test_fast_run_cold(benchmark):
     binary = _ref_binary()
     fastexec._UNIT_CACHE.clear()
     _timed_run(benchmark, "fast-cold",
-               lambda: fastexec.FastSimulator(binary).run(True))
+               lambda: Simulator(binary).run(True))
 
 
 def test_fast_run_warm(benchmark):
     binary = _ref_binary()
-    fastexec.FastSimulator(binary).run(True)  # compile unit, adapt anchors
+    Simulator(binary).run(True)  # compile unit, adapt anchors
     _timed_run(benchmark, "fast-warm",
-               lambda: fastexec.FastSimulator(binary).run(True))
+               lambda: Simulator(binary).run(True))
 
 
 def test_speedup_longest_workload(benchmark):
@@ -98,9 +98,9 @@ def test_speedup_longest_workload(benchmark):
         start = time.perf_counter()
         ref = Simulator(binary)._run_python(True)
         t_py = time.perf_counter() - start
-        fastexec.FastSimulator(binary).run(True)  # warm up
+        Simulator(binary).run(True)  # warm up
         start = time.perf_counter()
-        fast = fastexec.FastSimulator(binary).run(True)
+        fast = Simulator(binary).run(True)
         t_fast = time.perf_counter() - start
         assert pickle.dumps(ref) == pickle.dumps(fast)
         measured["speedup"] = t_py / t_fast

@@ -66,11 +66,8 @@ class AutoBackend(ExecutionBackend):
     #: A stage at least this expensive amortizes process-pool dispatch.
     heavy_cost: float = ProcessPoolBackend.dispatch_cost
 
-    def __init__(self, workers: int = 1, heavy_cost: float | None = None,
-                 cost_model=None):
+    def __init__(self, workers: int = 1, cost_model=None):
         super().__init__(workers)
-        if heavy_cost is not None:
-            self.heavy_cost = heavy_cost
         #: Optional learned cost source — anything with a
         #: ``cost(stage) -> float`` in static-table units, typically a
         #: :class:`repro.serve.costs.CostModel`.  When set, routing

@@ -137,10 +137,10 @@ def run_stage(task: Task, deps: dict[str, Any]):
                                payload["opt_level"])
     if task.stage == STAGE_RUN:
         compiled = _single_dep(task, deps, STAGE_COMPILE)
-        # run_binary honors REPRO_SIM_EXEC (python|fast|auto).  The
-        # engine selection deliberately stays OUT of key_fields: both
-        # engines produce byte-identical traces, so artifacts are
-        # interchangeable and learned stage costs absorb the speedup.
+        # The execution engine run_binary picks stays OUT of
+        # key_fields: both engines produce byte-identical traces, so
+        # artifacts are interchangeable and learned stage costs absorb
+        # the speedup.
         return run_binary(compiled.binary)
     if task.stage == STAGE_PROFILE:
         trace = _single_dep(task, deps, STAGE_RUN)

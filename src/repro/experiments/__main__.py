@@ -16,13 +16,10 @@ compiles/runs for unchanged inputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.engine.api import DEFAULT_TARGET_INSTRUCTIONS, Engine
 from repro.engine.backends import BACKEND_ENV, backend_names
-from repro.sim.fastexec import EXEC_CHOICES
-from repro.sim.kernels import KERNEL_CHOICES
 from repro.experiments.report import FIGURES, generate_report, resolve_figures
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads import UnknownWorkloadError, parse_pairs
@@ -88,26 +85,7 @@ def main(argv=None) -> int:
         help="record per-stage spans and a metrics snapshot to PATH "
              "(inspect with repro-trace summary/export)",
     )
-    parser.add_argument(
-        "--sim-kernel", default=None, choices=KERNEL_CHOICES,
-        help="replay kernel for the timing models (default: "
-             "$REPRO_SIM_KERNEL, else auto = numpy for long traces "
-             "when available; results are byte-identical either way)",
-    )
-    parser.add_argument(
-        "--sim-exec", default=None, choices=EXEC_CHOICES,
-        help="functional execution engine (default: $REPRO_SIM_EXEC, "
-             "else auto = the block-compiling fast engine; traces are "
-             "byte-identical either way)",
-    )
     args = parser.parse_args(argv)
-    if args.sim_kernel:
-        # Exported rather than threaded through the engine: the env var
-        # is the kernels' own selection channel and it reaches worker
-        # subprocesses (process/shard backends) for free.
-        os.environ["REPRO_SIM_KERNEL"] = args.sim_kernel
-    if args.sim_exec:
-        os.environ["REPRO_SIM_EXEC"] = args.sim_exec
 
     metrics = tracer = None
     if args.trace:

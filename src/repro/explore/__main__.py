@@ -23,7 +23,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 import time
@@ -36,8 +35,6 @@ from repro.explore.db import RESULTS_DB_ENV, ResultsDB, pareto_front
 from repro.explore.search import DEFAULT_BUDGET, STRATEGIES, run_search
 from repro.explore.space import PRESETS, format_point, get_preset
 from repro.explore.sweep import run_sweep
-from repro.sim.fastexec import EXEC_CHOICES
-from repro.sim.kernels import KERNEL_CHOICES
 from repro.workloads import UnknownWorkloadError
 from repro.tables import format_table
 
@@ -85,12 +82,6 @@ def _parse_pairs(text: str | None):
 
 
 def _build_engine(args) -> Engine:
-    if getattr(args, "sim_kernel", None):
-        # The env var is the kernels' own selection channel and reaches
-        # worker subprocesses (process/shard backends) for free.
-        os.environ["REPRO_SIM_KERNEL"] = args.sim_kernel
-    if getattr(args, "sim_exec", None):
-        os.environ["REPRO_SIM_EXEC"] = args.sim_exec
     metrics = tracer = None
     if getattr(args, "trace", None):
         from repro.obs.metrics import MetricsRegistry
@@ -332,17 +323,6 @@ def main(argv=None) -> int:
                          help="record per-stage spans and a metrics "
                               "snapshot to PATH (inspect with repro-trace "
                               "summary/export)")
-        cmd.add_argument("--sim-kernel", default=None,
-                         choices=KERNEL_CHOICES,
-                         help="replay kernel for the timing models "
-                              "(default: $REPRO_SIM_KERNEL, else auto; "
-                              "results are byte-identical either way)")
-        cmd.add_argument("--sim-exec", default=None,
-                         choices=EXEC_CHOICES,
-                         help="functional execution engine "
-                              "(default: $REPRO_SIM_EXEC, else auto = "
-                              "the block-compiling fast engine; traces "
-                              "are byte-identical either way)")
 
     run = sub.add_parser("run", help="sweep a preset through the engine")
     run.add_argument("--preset", default="smoke",

@@ -6,8 +6,8 @@ optimization level (-O0) so that pattern recognition sees canonical
 load/compute/store shapes; :func:`profile_workload` encapsulates that
 convention (compile at O0 on the reference ISA, simulate, profile).
 
-The functional run honors ``REPRO_SIM_EXEC`` (``python|fast|auto``):
-profiles are derived from the trace alone and both engines produce
+Profiles are derived from the trace alone, and both execution engines
+(:mod:`repro.sim.fastexec` and its reference interpreter) produce
 byte-identical traces, so profiling output never depends on the engine.
 """
 

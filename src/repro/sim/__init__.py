@@ -20,13 +20,13 @@ outcomes).  Everything downstream is trace-driven:
 * :mod:`repro.sim.machines` — the five Table III machines, built from
   parametric ``MachineSpec``s (``spec.fingerprint()`` is the engine's
   replay content-address);
-* :mod:`repro.sim.kernels` — batched numpy replay kernels behind
-  ``TimingModel.simulate`` (``REPRO_SIM_KERNEL=python|numpy|auto``),
-  byte-identical to the python models but 10-20x faster on long traces;
-* :mod:`repro.sim.fastexec` — the block-compiling execution engine behind
-  ``run_binary``/``Simulator`` (``REPRO_SIM_EXEC=python|fast|auto``),
-  byte-identical traces several times faster than the reference
-  interpreter.
+* :mod:`repro.sim.kernels` — batched numpy replay kernels that
+  ``TimingModel.simulate`` uses for long traces, byte-identical to the
+  python models but 10-20x faster;
+* :mod:`repro.sim.fastexec` — the block-compiling execution engine that
+  ``run_binary``/``Simulator`` run first, byte-identical traces several
+  times faster than the reference interpreter, which serves the
+  binaries it cannot run.
 """
 
 from repro.sim.functional import SimTrap, Simulator, run_binary
@@ -48,16 +48,8 @@ from repro.sim.timing_common import (
 )
 from repro.sim.inorder import InOrderModel
 from repro.sim.machines import MACHINES, Machine, estimate_runtime
-from repro.sim.kernels import HAVE_NUMPY, KERNEL_CHOICES, select_kernel
-from repro.sim.fastexec import EXEC_CHOICES, FastSimulator, select_exec
 
 __all__ = [
-    "EXEC_CHOICES",
-    "FastSimulator",
-    "HAVE_NUMPY",
-    "KERNEL_CHOICES",
-    "select_exec",
-    "select_kernel",
     "BimodalPredictor",
     "Cache",
     "CacheConfig",

@@ -1,10 +1,11 @@
-"""Fast functional execution engine (``REPRO_SIM_EXEC=fast``).
+"""Fast functional execution engine.
 
-A second execution engine behind :func:`repro.sim.functional.run_binary` /
-:class:`repro.sim.functional.Simulator` that produces a **byte-identical**
-:class:`repro.sim.trace.ExecutionTrace` (pickle-equal: same block sequence,
-memory-address stream, branch log, output, exit value and instruction
-count) while running several times faster.  Three layers:
+The engine :meth:`repro.sim.functional.Simulator.run` (and so
+:func:`~repro.sim.functional.run_binary`) tries first.  It produces a
+**byte-identical** :class:`repro.sim.trace.ExecutionTrace` (pickle-equal:
+same block sequence, memory-address stream, branch log, output, exit
+value and instruction count) while running several times faster.
+Three layers:
 
 1. **Block compilation** — every function of a :class:`Binary` is decoded
    once into specialized Python source (``exec``-compiled, weakly cached
@@ -28,8 +29,8 @@ count) while running several times faster.  Three layers:
    entry state, and replays memoized loop executions arithmetically.
    Footprints are fp-relative when the segment is "clean" (no REG-mode
    addressing, no fp-dependent ``lea``, no absolute access into the stack
-   region), so a memoized loop re-hits across call frames.  Disable with
-   ``REPRO_SIM_MEMO=0``.
+   region), so a memoized loop re-hits across call frames.  Traced runs
+   always memoize; untraced runs have no trace slices to replay.
 
 Trap parity is exact: loads/stores/divides raise the same ``SimTrap``
 messages, and the instruction budget check is placed at backedges, call
@@ -38,29 +39,24 @@ preserves both the trap/complete outcome and the trap *kind* of the
 reference interpreter (whose per-block check is only observable at a
 potential trap site, since a trap discards all other state).
 
-Unsupported binaries (unknown opcodes, non-contiguous ``arg`` staging)
-compile to ``None`` and fall back to the reference interpreter.  Anchor
-tables are plain dicts mutated under the GIL; concurrent runs can at
-worst duplicate a recording or skew the adaptive counters — never corrupt
-a trace.
+:func:`run_compiled` returns ``None`` — and the caller runs the
+reference interpreter — for unsupported binaries (unknown opcodes,
+non-contiguous ``arg`` staging), entry frames larger than the stack and
+``RecursionError``.  Anchor tables are plain dicts mutated under the GIL;
+concurrent runs can at worst duplicate a recording or skew the adaptive
+counters — never corrupt a trace.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import warnings
 import weakref
 
 from repro.ir.ops_eval import BINOPS, UNOPS
 from repro.isa.machine import Binary
 from repro.profiling.loops import find_machine_loops
-from repro.sim.functional import SimTrap, Simulator, _format_output
+from repro.sim.functional import SimTrap, _format_output
 from repro.sim.trace import ExecutionTrace
-
-EXEC_CHOICES = ("python", "fast", "auto")
-_ENV_VAR = "REPRO_SIM_EXEC"
-_MEMO_ENV = "REPRO_SIM_MEMO"
 
 # Segment-memoization caps (per anchor): recording aborts past these and
 # the adaptive policy disables anchors that never pay for themselves.
@@ -83,28 +79,6 @@ _BUDGET_MSG = "instruction budget exceeded (%d)"
 
 _TERMINATORS = ("bt", "bf", "jmp", "call", "ret")
 _INT_DIV_OPS = ("div", "udiv", "mod", "umod")
-
-_warned_fallback: set = set()
-
-
-def _requested_exec() -> str:
-    value = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if value not in EXEC_CHOICES:
-        raise ValueError(
-            f"{_ENV_VAR} must be one of {EXEC_CHOICES}, got {value!r}"
-        )
-    return value
-
-
-def select_exec() -> str:
-    """Resolve the execution engine: ``python`` or ``fast``.
-
-    ``auto`` (the default) picks ``fast``: compilation costs milliseconds,
-    is cached for the binary's lifetime, and unsupported binaries fall
-    back per-run anyway.
-    """
-    requested = _requested_exec()
-    return "fast" if requested == "auto" else requested
 
 
 class _Unsupported(Exception):
@@ -1277,18 +1251,17 @@ def _weak_get(cache, obj, build):
 
 def _compiled_unit(binary: Binary, collect_trace: bool) -> "_Unit | None":
     """The (weakly cached) compiled unit for *binary*, or None when the
-    binary's shape is unsupported (caller falls back to ``python``)."""
-    memo_on = bool(collect_trace) and os.environ.get(_MEMO_ENV, "1") != "0"
+    binary's shape is unsupported.  Traced units memoize segments."""
+    traced = bool(collect_trace)
     variants = _weak_get(_UNIT_CACHE, binary, lambda b: {})
-    key = (bool(collect_trace), memo_on)
-    if key not in variants:
+    if traced not in variants:
         try:
-            variants[key] = _build_unit(binary, *key)
+            variants[traced] = _build_unit(binary, traced, traced)
         except _Unsupported as exc:
             if isinstance(EXEC_DEBUG, dict):
                 EXEC_DEBUG.setdefault("fallbacks", []).append(str(exc))
-            variants[key] = None
-    return variants[key]
+            variants[traced] = None
+    return variants[traced]
 
 
 def compiled_cache_size() -> int:
@@ -1296,89 +1269,54 @@ def compiled_cache_size() -> int:
     return len(_UNIT_CACHE)
 
 
-def _warn_fallback(reason: str) -> None:
-    if _requested_exec() != "fast" or reason in _warned_fallback:
-        return
-    _warned_fallback.add(reason)
-    warnings.warn(
-        f"REPRO_SIM_EXEC=fast fell back to the python engine: {reason}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-class FastSimulator:
-    """Block-compiling drop-in for :class:`repro.sim.functional.Simulator`."""
-
-    def __init__(
-        self,
-        binary: Binary,
-        max_instructions: int | None = None,
-        stack_words: int | None = None,
-    ):
-        from repro.sim import functional
-
-        self.binary = binary
-        self.max_instructions = (
-            functional._DEFAULT_MAX_INSTRUCTIONS
-            if max_instructions is None
-            else max_instructions
+def run_compiled(
+    binary: Binary,
+    max_instructions: int,
+    stack_words: int,
+    collect_trace: bool,
+) -> "ExecutionTrace | None":
+    """Run *binary* on its compiled unit; same contract as
+    :meth:`repro.sim.functional.Simulator.run`.  Returns ``None`` when
+    this engine cannot run the binary, so the caller falls back."""
+    unit = _compiled_unit(binary, collect_trace)
+    if unit is None or binary.functions[binary.entry].frame_size > stack_words:
+        return None
+    memory: list = [0] * (binary.stack_base + stack_words)
+    base = binary.data_base
+    memory[base : base + len(binary.data_image)] = list(binary.data_image)
+    block_seq: list[int] = []
+    mem_addrs: list[int] = []
+    branch_log: list[int] = []
+    output: list[str] = []
+    if collect_trace:
+        ctx = (
+            block_seq.append,
+            block_seq.extend,
+            mem_addrs.append,
+            mem_addrs.extend,
+            branch_log.append,
+            branch_log.extend,
+            output.append,
+            max_instructions,
         )
-        self.stack_words = (
-            functional._STACK_WORDS if stack_words is None else stack_words
-        )
-
-    def _python_run(self, collect_trace: bool) -> ExecutionTrace:
-        return Simulator(
-            self.binary, self.max_instructions, self.stack_words
-        )._run_python(collect_trace)
-
-    def run(self, collect_trace: bool = True) -> ExecutionTrace:
-        binary = self.binary
-        unit = _compiled_unit(binary, collect_trace)
-        if unit is None:
-            _warn_fallback("unsupported binary shape")
-            return self._python_run(collect_trace)
-        if binary.functions[binary.entry].frame_size > self.stack_words:
-            _warn_fallback("entry frame exceeds the stack")
-            return self._python_run(collect_trace)
-        memory: list = [0] * (binary.stack_base + self.stack_words)
-        base = binary.data_base
-        memory[base : base + len(binary.data_image)] = list(binary.data_image)
-        block_seq: list[int] = []
-        mem_addrs: list[int] = []
-        branch_log: list[int] = []
-        output: list[str] = []
-        if collect_trace:
-            ctx = (
-                block_seq.append,
-                block_seq.extend,
-                mem_addrs.append,
-                mem_addrs.extend,
-                branch_log.append,
-                branch_log.extend,
-                output.append,
-                self.max_instructions,
-            )
-        else:
-            ctx = (output.append, self.max_instructions)
-        old_limit = sys.getrecursionlimit()
+    else:
+        ctx = (output.append, max_instructions)
+    old_limit = sys.getrecursionlimit()
+    if old_limit < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+    try:
+        exit_value, instructions = unit.entry(ctx, 0, memory, binary.stack_base)
+    except RecursionError:
+        return None
+    finally:
         if old_limit < _RECURSION_LIMIT:
-            sys.setrecursionlimit(_RECURSION_LIMIT)
-        try:
-            exit_value, instructions = unit.entry(ctx, 0, memory, binary.stack_base)
-        except RecursionError:
-            _warn_fallback("recursion depth exceeded")
-            return self._python_run(collect_trace)
-        finally:
-            if old_limit < _RECURSION_LIMIT:
-                sys.setrecursionlimit(old_limit)
-        return ExecutionTrace.from_buffers(
-            binary,
-            block_seq,
-            mem_addrs,
-            branch_log,
-            output,
-            exit_value,
-            instructions,
-        )
+            sys.setrecursionlimit(old_limit)
+    return ExecutionTrace.from_buffers(
+        binary,
+        block_seq,
+        mem_addrs,
+        branch_log,
+        output,
+        exit_value,
+        instructions,
+    )

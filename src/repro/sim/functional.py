@@ -84,22 +84,20 @@ class Simulator:
         With ``collect_trace=False`` the block/memory/branch logs stay
         empty (fast correctness-only runs).
 
-        The actual engine is selected via ``REPRO_SIM_EXEC``
-        (``python|fast|auto``, mirroring ``REPRO_SIM_KERNEL``): ``fast``
-        routes through :mod:`repro.sim.fastexec`, the block-compiling
-        engine, which produces a byte-identical trace several times
-        faster; ``python`` pins this reference interpreter.
+        Runs on :mod:`repro.sim.fastexec`, the block-compiling engine,
+        which produces a byte-identical trace several times faster, and
+        falls back to :meth:`_run_python`, this reference interpreter,
+        for the binaries that engine cannot run.
         """
         from repro.sim import fastexec
 
-        if fastexec.select_exec() == "fast":
-            return fastexec.FastSimulator(
-                self.binary, self.max_instructions, self.stack_words
-            ).run(collect_trace)
-        return self._run_python(collect_trace)
+        trace = fastexec.run_compiled(
+            self.binary, self.max_instructions, self.stack_words, collect_trace
+        )
+        return self._run_python(collect_trace) if trace is None else trace
 
     def _run_python(self, collect_trace: bool = True) -> ExecutionTrace:
-        """The reference per-instruction interpreter (engine ``python``)."""
+        """The reference per-instruction interpreter."""
         binary = self.binary
         memory: list = [0] * (binary.stack_base + self.stack_words)
         base = binary.data_base

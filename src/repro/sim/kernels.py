@@ -31,39 +31,28 @@ vectorize exactly and a part that cannot:
   the evolution is time-translation invariant — and is applied as
   ``cycle += periods * delta`` instead of being executed.
 
-Selection is env/config driven (``REPRO_SIM_KERNEL=python|numpy|auto``)
-and hooked into :meth:`TimingModel.simulate`, so the engine's replay
-stage, the explorer, the daemon and the figures all accelerate
-transparently; ``python`` remains the default-correct fallback when
-numpy is missing.
+:meth:`TimingModel.simulate` picks this kernel by itself for long
+traces (:data:`AUTO_THRESHOLD`) on the models it understands, so the
+engine's replay stage, the explorer, the daemon and the figures all
+accelerate transparently.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
-import warnings
 import weakref
 from dataclasses import dataclass, field
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the test image ships numpy
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.obs.metrics import bucket_index
 from repro.sim.cache import lru_hits
 from repro.sim.timing_common import TimingResult
 
-#: ``auto`` switches to the numpy kernel at this many dynamic
-#: instructions (override: ``REPRO_SIM_KERNEL_THRESHOLD``).  Below it
-#: the python models win — array packing has a fixed cost.
+#: :meth:`TimingModel.simulate` switches to this kernel at this many
+#: dynamic instructions.  Below it the python models win — array
+#: packing has a fixed cost.
 AUTO_THRESHOLD = 100_000
-
-KERNEL_CHOICES = ("python", "numpy", "auto")
 
 # Packed-op flag bits (see _build_program).
 _F_MEM = 1       # touches memory (consumes one mem_addrs slot)
@@ -82,61 +71,6 @@ _MD_KLASSES = ("imul", "idiv")
 # boundary captures the lock needs.
 _MIN_PERIODS = 4
 _MIN_REGION_BLOCKS = 32
-
-_warned_fallback = False
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection
-
-
-def _requested_kernel(config) -> str:
-    choice = getattr(config, "kernel", None)
-    if choice is None:
-        choice = os.environ.get("REPRO_SIM_KERNEL") or "auto"
-    choice = str(choice).strip().lower()
-    if choice not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown replay kernel {choice!r} (expected one of {KERNEL_CHOICES})")
-    return choice
-
-
-def _auto_threshold() -> int:
-    raw = os.environ.get("REPRO_SIM_KERNEL_THRESHOLD")
-    return int(raw) if raw else AUTO_THRESHOLD
-
-
-def select_kernel(model, trace) -> str:
-    """Resolve which kernel will replay *trace* under *model*.
-
-    ``python``/``numpy`` honor the explicit request (``numpy`` falls
-    back, with a one-time warning, when unavailable); ``auto`` picks the
-    numpy kernel for long traces when it can.  Models the batched
-    interpreter doesn't know (``kernel_kind`` unset) always replay in
-    python.
-    """
-    global _warned_fallback
-    choice = _requested_kernel(model.config)
-    kind = getattr(model, "kernel_kind", None)
-    usable = HAVE_NUMPY and kind in ("inorder", "ooo")
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if usable:
-            return "numpy"
-        if not _warned_fallback:
-            _warned_fallback = True
-            reason = "numpy is not installed" if not HAVE_NUMPY else (
-                f"model {type(model).__name__} has no batched kernel")
-            warnings.warn(
-                f"REPRO_SIM_KERNEL=numpy requested but {reason}; "
-                "falling back to the python kernel",
-                RuntimeWarning, stacklevel=2)
-        return "python"
-    # auto
-    if usable and trace.instructions >= _auto_threshold():
-        return "numpy"
-    return "python"
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +428,14 @@ _STEP_DOWN = _encode_map([0, 0, 1, 2])    # not taken: max(0, s - 1)
 _STEP_ID = _encode_map([0, 1, 2, 3])      # chooser tie: unchanged
 _RESET = _encode_map([2, 2, 2, 2])        # constant: fresh counter at 2
 
-if HAVE_NUMPY:
-    # _COMP[a, b] = encode(f_b . f_a): apply a's map, then b's.
-    _DECODE = (np.arange(256)[:, None] >> (2 * np.arange(4))) & 3  # [code, s]
-    _COMPOSED = _DECODE[np.arange(256)[None, :, None], _DECODE[:, None, :]]
-    _COMP = np.zeros((256, 256), dtype=np.uint8)
-    for _s in range(4):
-        _COMP |= (_COMPOSED[:, :, _s] << (2 * _s)).astype(np.uint8)
-    del _s, _COMPOSED
-    _STEP_BY_DELTA = np.array([_STEP_DOWN, _STEP_ID, _STEP_UP], dtype=np.uint8)
+# _COMP[a, b] = encode(f_b . f_a): apply a's map, then b's.
+_DECODE = (np.arange(256)[:, None] >> (2 * np.arange(4))) & 3  # [code, s]
+_COMPOSED = _DECODE[np.arange(256)[None, :, None], _DECODE[:, None, :]]
+_COMP = np.zeros((256, 256), dtype=np.uint8)
+for _s in range(4):
+    _COMP |= (_COMPOSED[:, :, _s] << (2 * _s)).astype(np.uint8)
+del _s, _COMPOSED
+_STEP_BY_DELTA = np.array([_STEP_DOWN, _STEP_ID, _STEP_UP], dtype=np.uint8)
 
 
 def _comp_scan(codes):
@@ -1183,8 +1116,6 @@ def replay_trace(model, trace, decoded=None) -> TimingResult:
     the python model's — the equivalence suite asserts it across every
     workload pair and Table III machine.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - selection guards this
-        raise RuntimeError("numpy replay kernel requested but numpy is missing")
     kind = getattr(model, "kernel_kind", None)
     if kind not in ("inorder", "ooo"):
         raise ValueError(f"model {type(model).__name__} has no batched kernel")

@@ -66,11 +66,6 @@ class TimingConfig:
     mispredict_penalty: int = 12
     predictor_entries: int = 4096
     latencies: dict = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
-    #: Replay kernel: "python", "numpy" or "auto"; ``None`` defers to
-    #: the ``REPRO_SIM_KERNEL`` environment variable (default "auto").
-    #: Not a microarchitecture axis — kernels are byte-identical, so
-    #: content addressing (``MachineSpec.fingerprint``) ignores it.
-    kernel: str | None = None
 
 
 @dataclass
@@ -288,10 +283,14 @@ class TimingModel:
         self.config = config or TimingConfig()
 
     def simulate(self, trace) -> TimingResult:
+        """Replay *trace*: on the batched kernel for long traces of the
+        models it understands, else on :meth:`replay`.  Both give
+        pickle-equal results."""
         decoded = decode_binary(trace.binary)
         from repro.sim import kernels  # deferred: kernels imports this module
 
-        if kernels.select_kernel(self, trace) == "numpy":
+        if (self.kernel_kind is not None
+                and trace.instructions >= kernels.AUTO_THRESHOLD):
             return kernels.replay_trace(self, trace, decoded)
         return self.replay(trace, decoded)
 

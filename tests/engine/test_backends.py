@@ -310,7 +310,9 @@ class TestAutoRouting:
         assert stage_cost("n") == DEFAULT_STAGE_COST
 
     def test_heavy_cost_threshold_is_tunable(self):
-        backend = AutoBackend(workers=2, heavy_cost=1000.0)
+        # The threshold is a class attribute; routing reads it per instance.
+        backend = AutoBackend(workers=2)
+        backend.heavy_cost = 1000.0
         run_graph(self._mixed_graph(), workers=2, runner=arith_runner,
                   keyer=arith_keyer, backend=backend)
         assert backend.routed == {"thread": 2}

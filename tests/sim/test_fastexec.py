@@ -6,7 +6,7 @@ log, output, exit value, instruction count — plus exact ``SimTrap``
 parity (same trap kind and message at the same boundary).
 
 ``REPRO_EXEC_EQUIV_ALL=1`` widens the traced sweep from the sample pairs
-to every workload pair (the CI fast leg's job).
+to every workload pair (a CI step of the test job).
 """
 
 import gc
@@ -50,9 +50,19 @@ def binary_for(workload: str, input_name: str):
     return _BINARIES[key]
 
 
+def run_fast(binary, collect_trace: bool = True, **sim_kwargs):
+    """The compiled engine alone, with ``Simulator``'s defaults; fails
+    instead of falling back to the reference interpreter."""
+    sim = Simulator(binary, **sim_kwargs)
+    trace = fastexec.run_compiled(
+        binary, sim.max_instructions, sim.stack_words, collect_trace)
+    assert trace is not None, "the compiled engine fell back"
+    return trace
+
+
 def assert_equivalent(binary, collect_trace: bool = True) -> None:
     ref = Simulator(binary)._run_python(collect_trace)
-    fast = fastexec.FastSimulator(binary).run(collect_trace)
+    fast = run_fast(binary, collect_trace)
     assert pickle.dumps(ref) == pickle.dumps(fast)
 
 
@@ -68,8 +78,11 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("workload,input_name", SAMPLE_PAIRS[:3])
     def test_memo_kill_switch_byte_identical(self, workload, input_name,
                                              monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MEMO", "0")
-        assert_equivalent(binary_for(workload, input_name), collect_trace=True)
+        binary = binary_for(workload, input_name)
+        unit = fastexec._build_unit(binary, True, False)
+        monkeypatch.setattr(fastexec, "_compiled_unit",
+                            lambda _binary, _traced: unit)
+        assert_equivalent(binary, collect_trace=True)
 
 
 class TestTrapParity:
@@ -82,7 +95,7 @@ class TestTrapParity:
         ref = self.trap_message(
             lambda: Simulator(binary, **sim_kwargs)._run_python(True))
         fast = self.trap_message(
-            lambda: fastexec.FastSimulator(binary, **sim_kwargs).run(True))
+            lambda: run_fast(binary, **sim_kwargs))
         assert ref == fast
         assert needle in fast
 
@@ -97,7 +110,7 @@ class TestTrapParity:
         total = Simulator(binary)._run_python(True).instructions
         for runner in (
             lambda mi: Simulator(binary, max_instructions=mi)._run_python(True),
-            lambda mi: fastexec.FastSimulator(binary, mi).run(True),
+            lambda mi: run_fast(binary, max_instructions=mi),
         ):
             assert runner(total).instructions == total
             with pytest.raises(SimTrap, match="budget"):
@@ -131,28 +144,27 @@ class TestTrapParity:
 
 class TestSelection:
     def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_EXEC", raising=False)
-        assert fastexec.select_exec() == "fast"
+        """``run_binary`` runs the compiled engine without being asked."""
+        def no_reference(self, collect_trace=True):
+            raise AssertionError("fell back to the reference interpreter")
+
+        monkeypatch.setattr(Simulator, "_run_python", no_reference)
+        assert run_binary(binary_for("crc32", "small")).instructions > 0
 
     @pytest.mark.parametrize("choice", ["python", "fast"])
-    def test_explicit_choice(self, choice, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", choice)
-        assert fastexec.select_exec() == choice
-
-    def test_unknown_choice_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", "numpy")
-        with pytest.raises(ValueError, match="REPRO_SIM_EXEC"):
-            fastexec.select_exec()
-
-    def test_run_binary_routes_by_env(self, monkeypatch):
-        """The public entry point honors the selector and both routes
-        agree byte-for-byte."""
+    def test_explicit_choice(self, choice):
+        """Either engine, called directly, gives ``run_binary``'s bytes."""
         binary = binary_for("crc32", "small")
-        monkeypatch.setenv("REPRO_SIM_EXEC", "python")
-        via_python = run_binary(binary)
-        monkeypatch.setenv("REPRO_SIM_EXEC", "fast")
-        via_fast = run_binary(binary)
-        assert pickle.dumps(via_python) == pickle.dumps(via_fast)
+        engine = {
+            "python": lambda: Simulator(binary)._run_python(True),
+            "fast": lambda: run_fast(binary),
+        }[choice]
+        assert pickle.dumps(engine()) == pickle.dumps(run_binary(binary))
+
+    def test_oversized_entry_frame_falls_back(self):
+        binary = binary_for("crc32", "small")
+        frame = binary.functions[binary.entry].frame_size
+        assert fastexec.run_compiled(binary, 10_000, frame - 1, True) is None
 
 
 class TestSegmentMemo:
@@ -163,7 +175,7 @@ class TestSegmentMemo:
         unit = fastexec._compiled_unit(binary, True)
         assert unit is not None and unit.anchors
         before = sum(a.hits for a in unit.anchors)
-        fastexec.FastSimulator(binary).run(True)
+        run_fast(binary)
         assert sum(a.hits for a in unit.anchors) > before
 
     def test_adaptive_anchors_self_disable(self):
@@ -172,7 +184,7 @@ class TestSegmentMemo:
         binary = binary_for("bitcount", "small")
         unit = fastexec._compiled_unit(binary, True)
         assert unit is not None
-        fastexec.FastSimulator(binary).run(True)
+        run_fast(binary)
         probed = [a for a in unit.anchors if a.probes]
         assert probed
         assert all(not a.on or a.hits for a in probed)
@@ -209,7 +221,7 @@ class TestCompiledCache:
         binary = compile_program(self.SOURCE, "x86", 0).binary
         fastexec.EXEC_DEBUG = {}
         try:
-            fastexec.FastSimulator(binary).run(True)
+            run_fast(binary)
             units = fastexec.EXEC_DEBUG.get("units")
             assert units and units[0]["traced"]
         finally:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.ops_eval import to_signed
-from repro.sim.functional import SimTrap, Simulator
+from repro.sim.functional import SimTrap, Simulator, run_binary
 from repro.cc.driver import compile_program
 from tests.conftest import run_source
 
@@ -212,26 +212,33 @@ class TestLoadBounds:
     int main() { poke(IDX); return 0; }
     """
 
+    # The reference interpreter, and the public entry point, which runs
+    # the compiled engine.
+    ENGINES = {
+        "python": lambda binary: Simulator(binary)._run_python(True),
+        "fast": run_binary,
+    }
+
+    def run(self, engine: str, source: str):
+        return self.ENGINES[engine](compile_program(source, "x86", 0).binary)
+
     @pytest.mark.parametrize("engine", ["python", "fast"])
     @pytest.mark.parametrize("idx", [-2000000000, 2000000000])
-    def test_out_of_range_load_traps(self, engine, idx, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", engine)
+    def test_out_of_range_load_traps(self, engine, idx):
         with pytest.raises(SimTrap, match="load out of range"):
-            run_source(self.READ.replace("IDX", str(idx)))
+            self.run(engine, self.READ.replace("IDX", str(idx)))
 
     @pytest.mark.parametrize("engine", ["python", "fast"])
     @pytest.mark.parametrize("idx", [-2000000000, 2000000000])
-    def test_out_of_range_store_traps(self, engine, idx, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", engine)
+    def test_out_of_range_store_traps(self, engine, idx):
         with pytest.raises(SimTrap, match="store out of range"):
-            run_source(self.WRITE.replace("IDX", str(idx)))
+            self.run(engine, self.WRITE.replace("IDX", str(idx)))
 
-    def test_trap_message_parity(self, monkeypatch):
+    def test_trap_message_parity(self):
         source = self.READ.replace("IDX", "-2000000000")
         messages = {}
-        for engine in ("python", "fast"):
-            monkeypatch.setenv("REPRO_SIM_EXEC", engine)
+        for engine in self.ENGINES:
             with pytest.raises(SimTrap) as excinfo:
-                run_source(source)
+                self.run(engine, source)
             messages[engine] = str(excinfo.value)
         assert messages["python"] == messages["fast"]

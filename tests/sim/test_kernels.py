@@ -1,4 +1,5 @@
-"""Batched replay kernels: byte-identical equivalence + selection.
+"""Batched replay kernels: byte-identical equivalence + the automatic
+choice between them and the python models.
 
 The contract under test is absolute: for every trace and every
 configuration, :func:`repro.sim.kernels.replay_trace` must produce a
@@ -22,6 +23,7 @@ import gc
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.cc.driver import compile_program
@@ -34,15 +36,9 @@ from repro.sim.timing_common import TimingConfig, decode_binary
 from repro.sim.trace import ExecutionTrace
 from repro.workloads import WORKLOADS
 
-pytestmark = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="numpy not installed"
-)
-
-np = kernels.np  # None when numpy is missing; every test here is skipped
-
 # Loop-heavy, call-heavy, FP-heavy and branchy workloads; small inputs
 # keep the tier-1 run fast.  REPRO_KERNEL_EQUIV_ALL=1 widens this to
-# every pair (the CI numpy leg's job).
+# every pair (a CI step of the test job).
 SAMPLE_PAIRS = (
     ("bitcount", "small"),
     ("crc32", "small"),
@@ -118,7 +114,7 @@ class TestMachineMatrix:
 
 @pytest.mark.skipif("not __import__('os').environ.get('REPRO_KERNEL_EQUIV_ALL')")
 class TestFullSuiteEquivalence:
-    """The acceptance sweep: every pair, both models (CI numpy leg)."""
+    """The acceptance sweep: every pair, both models (a CI step)."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("input_name", ("small", "large"))
@@ -166,63 +162,64 @@ class TestRandomTraceProperty:
 
 
 class TestSelection:
-    def _long_trace(self):
-        return trace_for("crc32", "small")  # ~196k instrs > threshold
+    """``TimingModel.simulate`` picks the batched kernel by itself for
+    traces of at least ``AUTO_THRESHOLD`` instructions."""
 
-    def test_auto_picks_numpy_past_threshold(self):
-        assert kernels.select_kernel(
-            OutOfOrderModel(), self._long_trace()) == "numpy"
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Records every ``replay_trace`` call ``simulate`` makes."""
+        calls = []
+        real = kernels.replay_trace
 
-    def test_auto_keeps_python_below_threshold(self, fib_source):
-        trace = run_binary(compile_program(fib_source, "x86", 0).binary)
-        assert trace.instructions < kernels.AUTO_THRESHOLD
-        assert kernels.select_kernel(OutOfOrderModel(), trace) == "python"
+        def spy(model, trace, decoded=None):
+            calls.append(type(model).__name__)
+            return real(model, trace, decoded)
 
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL_THRESHOLD", "1")
-        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-        trace = self._long_trace()
-        assert kernels.select_kernel(InOrderModel(), trace) == "numpy"
-        monkeypatch.setenv("REPRO_SIM_KERNEL_THRESHOLD",
-                           str(trace.instructions + 1))
-        assert kernels.select_kernel(InOrderModel(), trace) == "python"
+        monkeypatch.setattr(kernels, "replay_trace", spy)
+        return calls
 
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "numpy")
-        model = OutOfOrderModel(TimingConfig(kernel="python"))
-        assert kernels.select_kernel(model, self._long_trace()) == "python"
+    @pytest.fixture
+    def trace(self, fib_source):
+        return run_binary(compile_program(fib_source, "x86", 0).binary)
 
-    def test_env_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
-        assert kernels.select_kernel(
-            OutOfOrderModel(), self._long_trace()) == "python"
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "numpy")
-        assert kernels.select_kernel(
-            OutOfOrderModel(), self._long_trace()) == "numpy"
+    def test_auto_picks_numpy_past_threshold(self, trace, kernel_calls,
+                                             monkeypatch):
+        monkeypatch.setattr(kernels, "AUTO_THRESHOLD", trace.instructions)
+        OutOfOrderModel().simulate(trace)
+        assert kernel_calls == ["OutOfOrderModel"]
 
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "fortran")
-        with pytest.raises(ValueError, match="fortran"):
-            kernels.select_kernel(OutOfOrderModel(), self._long_trace())
+    def test_auto_keeps_python_below_threshold(self, trace, kernel_calls,
+                                               monkeypatch):
+        monkeypatch.setattr(kernels, "AUTO_THRESHOLD", trace.instructions + 1)
+        InOrderModel().simulate(trace)
+        assert kernel_calls == []
 
-    def test_unbatched_model_falls_back_with_warning(self, monkeypatch):
-        class Oddball:
-            config = TimingConfig(kernel="numpy")
+    def test_unbatched_model_replays_in_python(self, trace, kernel_calls,
+                                                monkeypatch):
+        class Unbatched(OutOfOrderModel):
+            kernel_kind = None
 
-        monkeypatch.setattr(kernels, "_warned_fallback", False)
-        with pytest.warns(RuntimeWarning, match="no batched kernel"):
-            assert kernels.select_kernel(Oddball(), self._long_trace()) \
-                == "python"
-        # One-time warning: a second call is silent.
-        assert kernels.select_kernel(Oddball(), self._long_trace()) \
-            == "python"
+        monkeypatch.setattr(kernels, "AUTO_THRESHOLD", 0)
+        result = Unbatched().simulate(trace)
+        assert kernel_calls == []
+        assert pickle.dumps(result) == pickle.dumps(OutOfOrderModel().replay(
+            trace, decode_binary(trace.binary)))
 
-    def test_simulate_dispatch_is_byte_identical(self):
-        """The TimingModel.simulate hook end to end: explicit numpy vs
-        explicit python via config, same bytes out."""
-        trace = self._long_trace()
-        fast = OutOfOrderModel(TimingConfig(kernel="numpy")).simulate(trace)
-        slow = OutOfOrderModel(TimingConfig(kernel="python")).simulate(trace)
+    def test_unknown_kernel_rejected(self, trace):
+        class Fortran(OutOfOrderModel):
+            kernel_kind = "fortran"
+
+        with pytest.raises(ValueError, match="no batched kernel"):
+            kernels.replay_trace(Fortran(), trace)
+
+    def test_simulate_dispatch_is_byte_identical(self, kernel_calls):
+        """The TimingModel.simulate hook end to end on a long trace: the
+        kernel it picks gives the python model's bytes."""
+        trace = trace_for("crc32", "small")  # ~196k instrs > threshold
+        model = OutOfOrderModel()
+        fast = model.simulate(trace)
+        assert kernel_calls == ["OutOfOrderModel"]
+        slow = model.replay(trace, decode_binary(trace.binary))
         assert pickle.dumps(fast) == pickle.dumps(slow)
 
 
