@@ -55,7 +55,8 @@ from pathlib import Path
 #: Bump whenever the pickled artifact layout or the key recipe changes;
 #: old entries then become unreachable instead of silently wrong.
 #: 2: TimingResult grew mem_lat_hist/branch_run_hist snapshot fields.
-SCHEMA_VERSION = 2
+#: 3: compile artifacts hold binary + opt_stats only.
+SCHEMA_VERSION = 3
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"

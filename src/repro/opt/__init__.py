@@ -21,7 +21,7 @@ from repro.opt.dce import eliminate_dead_code
 from repro.opt.fuse import fuse_memory_operands
 from repro.opt.inline import inline_small_functions
 from repro.opt.licm import hoist_loop_invariants
-from repro.opt.pipeline import OPT_LEVELS, run_pipeline
+from repro.opt.pipeline import OPT_LEVELS
 from repro.opt.regalloc import Allocation, allocate_registers
 from repro.opt.strength import reduce_strength
 from repro.opt.unroll import unroll_loops
@@ -38,6 +38,5 @@ __all__ = [
     "inline_small_functions",
     "propagate_copies",
     "reduce_strength",
-    "run_pipeline",
     "unroll_loops",
 ]

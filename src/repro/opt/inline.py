@@ -97,6 +97,15 @@ def _has_calls(expr: ast.Expr) -> bool:
     return any(_has_calls(child) for child in _expr_children(expr))
 
 
+def _copy_functions(program: ast.Program) -> ast.Program:
+    """*program* with deep-copied functions and shared globals."""
+    return ast.Program(
+        globals=list(program.globals),
+        functions=copy.deepcopy(program.functions),
+        line=program.line,
+    )
+
+
 def _find_candidates(program: ast.Program) -> dict[str, ast.FuncDecl]:
     """Expression functions eligible for inlining."""
     candidates: dict[str, ast.FuncDecl] = {}
@@ -201,8 +210,12 @@ class _Inliner:
 
 
 def inline_small_functions(program: ast.Program) -> ast.Program:
-    """Return a copy of *program* with expression functions inlined."""
-    clone = copy.deepcopy(program)
+    """Return a copy of *program* with expression functions inlined.
+
+    Only the functions are copied; the copy shares *program*'s global
+    declarations, which inlining never rewrites.
+    """
+    clone = _copy_functions(program)
     candidates = _find_candidates(clone)
     if not candidates:
         return clone

@@ -72,13 +72,3 @@ def optimize_ir(
     if opt_level >= 1 and cisc_fusion:
         run("fuse", fuse_memory_operands)
     return stats
-
-
-def run_pipeline(
-    program: IRProgram,
-    opt_level: int,
-    cisc_fusion: bool = False,
-    allocatable_int_regs: int = 16,
-) -> dict:
-    """Alias of :func:`optimize_ir` kept for the public API."""
-    return optimize_ir(program, opt_level, cisc_fusion, allocatable_int_regs)

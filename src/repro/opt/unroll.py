@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 
 from repro.lang import ast_nodes as ast
-from repro.opt.inline import _is_pure  # shared purity test
+from repro.opt.inline import _copy_functions, _is_pure
 
 MAX_BODY_STATEMENTS = 12
 
@@ -242,8 +242,12 @@ class _Unroller:
 
 
 def unroll_loops(program: ast.Program) -> ast.Program:
-    """Return a copy of *program* with eligible loops 2x-unrolled."""
-    clone = copy.deepcopy(program)
+    """Return a copy of *program* with eligible loops 2x-unrolled.
+
+    Only the functions are copied; the copy shares *program*'s global
+    declarations, which unrolling never rewrites.
+    """
+    clone = _copy_functions(program)
     unroller = _Unroller()
     for func in clone.functions:
         func.body = unroller.rewrite(func.body)

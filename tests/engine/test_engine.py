@@ -4,8 +4,13 @@ The equivalence tests are the subsystem's contract: figure results must
 be bit-identical serial vs parallel and cold vs warm cache.
 """
 
+import dataclasses
+
 from repro.engine.api import Engine
 from repro.engine.store import ArtifactStore
+from repro.engine.tasks import (
+    REF_ISA, REF_OPT, compile_clone_task, compile_task, key_fields,
+)
 from repro.experiments.fig04_reduction import run_fig04
 from repro.experiments.runner import ExperimentRunner
 
@@ -68,6 +73,20 @@ class TestMemoAndStore:
         # target — the reference compile/run are never even loaded.
         assert bigger.stats.misses == 3
         assert bigger.stats.hits == 1
+
+
+    def test_compile_artifacts_hold_binary_and_stats_only(self, tmp_path):
+        engine = make_engine(tmp_path)
+        engine.warm([("crc32", "small")], backend="inline")
+        store = ArtifactStore(root=tmp_path / "store")
+        for task in (
+            compile_task("crc32", "small", REF_ISA, REF_OPT),
+            compile_clone_task("crc32", "small", REF_ISA, REF_OPT,
+                               engine.target_instructions),
+        ):
+            stored = store.get(store.key_for(task.stage, **key_fields(task)))
+            assert [f.name for f in dataclasses.fields(stored)] == [
+                "binary", "opt_stats"]
 
 
 class TestEquivalence:

@@ -226,7 +226,7 @@ class TestGlobalPromotion:
 
 class TestFusion:
     def test_load_op_fused(self):
-        program, ir, stats = compile_to_ir(
+        ir, stats = compile_to_ir(
             "int g; int main() { int a = 5; return a + g; }",
             opt_level=1,
             cisc_fusion=True,
