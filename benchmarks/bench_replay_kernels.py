@@ -12,6 +12,10 @@ III machine's cycle model, three ways:
 * ``numpy-warm`` — the steady state the engine actually lives in, with
   the per-binary pack and segment memo populated (every replay of a
   binary after its first, e.g. across the explorer's machine sweeps).
+  The pack also keeps the trace's cache and predictor stream results
+  per geometry, so a warm replay re-simulates neither; rows recorded
+  before that change timed those simulations too, and the jump between
+  them is not a faster cycle loop.
 
 Each measurement records ``extra_info["replay"]`` — kernel, machine,
 instruction count and instrs/sec — so the ``BENCH_engine.json``
@@ -60,7 +64,7 @@ def _clear_kernel_caches() -> None:
     """Forget every per-binary/per-trace kernel artifact (packs, static
     stats, segment memos) so the next replay pays first-replay costs."""
     kernels._STAT_CACHE.clear()
-    kernels._PACK_CACHE.clear()
+    kernels._PACK_CACHE.clear()  # drops each pack's stream results too
 
 
 def _timed_replay(benchmark, machine, kernel: str, fn, trace) -> float:

@@ -21,8 +21,9 @@ outcomes).  Everything downstream is trace-driven:
   parametric ``MachineSpec``s (``spec.fingerprint()`` is the engine's
   replay content-address);
 * :mod:`repro.sim.kernels` — batched numpy replay kernels that
-  ``TimingModel.simulate`` uses for long traces, byte-identical to the
-  python models but 10-20x faster;
+  ``TimingModel.simulate`` uses for every trace of the models they
+  understand, byte-identical to the python models but one to two
+  orders of magnitude faster;
 * :mod:`repro.sim.fastexec` — the block-compiling execution engine that
   ``run_binary``/``Simulator`` run first, byte-identical traces several
   times faster than the reference interpreter, which serves the

@@ -31,15 +31,23 @@ vectorize exactly and a part that cannot:
   the evolution is time-translation invariant — and is applied as
   ``cycle += periods * delta`` instead of being executed.
 
-:meth:`TimingModel.simulate` picks this kernel by itself for long
-traces (:data:`AUTO_THRESHOLD`) on the models it understands, so the
-engine's replay stage, the explorer, the daemon and the figures all
-accelerate transparently.
+A machine sweep replays one trace on many configurations, so both
+precomputations are kept per trace: each cache geometry's latency codes
+and each predictor size's outcomes are simulated once
+(:func:`_stream_result`, at most :data:`STREAMS_CACHE_SIZE` per trace),
+and the segment memo's hits chain in relative form without rebuilding
+the scoreboard between them (:func:`_run_cycles`).
+
+:meth:`TimingModel.simulate` replays every trace of the models this
+module understands here, whatever its length, so the engine's replay
+stage, the explorer, the daemon and the figures all accelerate
+transparently; the python models stay as the equivalence oracle.
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -48,11 +56,6 @@ import numpy as np
 from repro.obs.metrics import bucket_index
 from repro.sim.cache import lru_hits
 from repro.sim.timing_common import TimingResult
-
-#: :meth:`TimingModel.simulate` switches to this kernel at this many
-#: dynamic instructions.  Below it the python models win — array
-#: packing has a fixed cost.
-AUTO_THRESHOLD = 100_000
 
 # Packed-op flag bits (see _build_program).
 _F_MEM = 1       # touches memory (consumes one mem_addrs slot)
@@ -189,6 +192,10 @@ class _TracePack:
     regions: list               # (start, period, periods) block-row verified
     anchors: "np.ndarray | None"  # segment-memo cut positions
     instructions: int
+    #: Stream results, computed once per geometry (_stream_result):
+    #: ``(l1, l2)`` -> _cache_sim result, predictor entries ->
+    #: _predictor_sim result.
+    streams: dict = field(default_factory=dict)
 
 
 def _find_regions(bs, header_gbids) -> list:
@@ -259,9 +266,10 @@ _SEG_MEMO_CAP = 32768
 
 #: Diagnostic hook: set to a dict (e.g. ``kernels.SEG_DEBUG = {}``) to
 #: count segment-memo lookups — keys ``"hit"`` / ``"miss"`` accumulate
-#: across replays until reset.  Used by the equivalence tests to assert
-#: the memo actually engages; leave ``None`` in production (the check
-#: is one ``is not None`` per segment).
+#: across replays until reset, ``"expand"`` counts scoreboard rebuilds
+#: after a hit (before a chunk that must be interpreted).  Used by the equivalence tests to assert the memo and
+#: its hit chain actually engage; leave ``None`` in production (the
+#: check is one ``is not None`` per segment).
 SEG_DEBUG: dict | None = None
 
 
@@ -358,6 +366,40 @@ def _trace_pack(trace, stat: _BinaryStat) -> _TracePack:
 def pack_cache_size() -> int:
     """Live entries in the trace-pack cache (observability/tests)."""
     return len(_PACK_CACHE)
+
+
+#: Stream results one trace pack keeps (cache geometries plus predictor
+#: sizes, least recently used evicted first): a machine sweep reuses
+#: each one across every width/ROB point, while a long search over
+#: cache sizes cannot pin unbounded memory to a live trace.
+STREAMS_CACHE_SIZE = 8
+
+# Guards every pack's ``streams`` dict: thread-backend replays of one
+# trace share its pack (the simulations themselves run unlocked).
+_STREAMS_LOCK = threading.Lock()
+
+
+def _stream_result(pack: _TracePack, key, simulate):
+    """*pack*'s stream result for geometry *key*, from ``simulate()``
+    on first use.
+
+    Cache and predictor state depend only on the recorded streams and
+    their own geometry, so every machine sharing an L1/L2 pair (or a
+    predictor size) shares one result.  Its array is made read-only.
+    """
+    streams = pack.streams
+    with _STREAMS_LOCK:
+        result = streams.pop(key, None)
+        if result is not None:
+            streams[key] = result  # now the most recently used
+            return result
+    result = simulate()
+    result[0].flags.writeable = False
+    with _STREAMS_LOCK:
+        if key not in streams and len(streams) >= STREAMS_CACHE_SIZE:
+            del streams[next(iter(streams))]
+        streams[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -862,28 +904,31 @@ _MAX_STRIDE = 6
 _MAX_ATTEMPTS = 24
 
 
-def _gap_chunks(chunks, anchors, lo, hi):
+def _gap_chunks(chunks, pack, lo, hi):
     """Append the memo segments covering ``[lo, hi)`` to *chunks*.
 
     Splits the gap at every anchor occurrence inside it; with no
     anchors the gap is one segment (too-long segments are interpreted,
-    not memoized, so this stays correct either way).
+    not memoized, so this stays correct either way).  Each segment is
+    ``(lo, hi, mem_hi, br_hi)``: its block range and the stream
+    positions at its end.
     """
     if hi <= lo:
         return
+    anchors = pack.anchors
     if anchors is not None:
         i0, i1 = np.searchsorted(anchors, (lo + 1, hi))
-        prev = lo
-        for cut in anchors[i0:i1].tolist():
-            chunks.append((prev, cut))
-            prev = cut
-        chunks.append((prev, hi))
+        bounds = np.concatenate(([lo], anchors[i0:i1], [hi]))
     else:
-        chunks.append((lo, hi))
+        bounds = np.array([lo, hi])
+    ends = bounds[1:]
+    chunks.extend(zip(bounds[:-1].tolist(), ends.tolist(),
+                      pack.mem_prefix[ends].tolist(),
+                      pack.br_prefix[ends].tolist()))
 
 
 def _run_cycles(kind, program, pack, mem_lat, correct, regions, config,
-                codes=None, correct_arr=None, memo=None):
+                codes, correct_arr, memo):
     """Interpret the block sequence, skipping repeated work two ways.
 
     **Locked periodic regions** (from :func:`_steady_regions`): once two
@@ -908,11 +953,13 @@ def _run_cycles(kind, program, pack, mem_lat, correct, regions, config,
     C speed) plus the same canonical entry state the lock uses, and its
     whole effect (cycle delta, out slots, live ready/port/ROB deltas,
     completion-max delta) is replayed arithmetically on a hit.  The
-    same time-translation argument makes the replay exact; segments
-    entered with a live ROB (any entry above ``cycle``) are interpreted
-    instead, since their effect would not be translation-free.  The
-    memo dict is per (binary, timing-config) and so persists across
-    traces and replays.
+    same time-translation argument makes the replay exact; the live
+    ROB suffix is part of the entry state, so segments entered with
+    in-flight work memoize too.  A hit's recorded exit state is exactly
+    the next segment's entry state, so runs of hits chain in that
+    relative form and the absolute scoreboard is rebuilt only before a
+    chunk that must be interpreted.  The memo dict is per
+    (binary, timing-config) and so persists across traces and replays.
     """
     blocks = pack.bs_list
     nblocks = len(blocks)
@@ -937,113 +984,122 @@ def _run_cycles(kind, program, pack, mem_lat, correct, regions, config,
             return _span_ooo(program, blocks, lo, hi, state, ready, rob,
                              mem_lat, correct, width, penalty, rob_size)
 
-    use_memo = memo is not None and codes is not None
-    anchors = pack.anchors if use_memo else None
-    mem_prefix = pack.mem_prefix
-    br_prefix = pack.br_prefix
-    bs = pack.bs
+    # Memo keys hold raw stream bytes; slicing python bytes is several
+    # times cheaper than slicing and converting the arrays per segment.
+    block_bytes = pack.bs.tobytes()
+    block_size = pack.bs.itemsize
+    code_bytes = codes.tobytes()  # uint8: byte offset == stream index
+    outcome_bytes = correct_arr.tobytes()
 
     # The schedule: locked regions in trace order, the gaps between
     # them cut into candidate memo segments.  Region chunks are the
-    # 6-tuples from _steady_regions, segments are (lo, hi) pairs.
+    # 6-tuples from _steady_regions, segments the 4-tuples of
+    # _gap_chunks.
     chunks: list = []
     gap_lo = 0
     for region in regions:
-        _gap_chunks(chunks, anchors, gap_lo, region[0])
+        _gap_chunks(chunks, pack, gap_lo, region[0])
         chunks.append(region)
         gap_lo = region[0] + region[1] * region[2]
-    _gap_chunks(chunks, anchors, gap_lo, nblocks)
+    _gap_chunks(chunks, pack, gap_lo, nblocks)
+
+    def canon(state):
+        """The canonical relative state at ``state[0]``: slots, live
+        ready deltas, port deltas and the live ROB suffix."""
+        cycle = state[0]
+        if in_order:
+            live = ()
+        else:
+            # The live ROB suffix, oldest first: the tuple length fixes
+            # how many dispatches retire dead prefill slots before the
+            # first live entry can stall, interior dead entries clamp
+            # to 0 (they retire as no-ops either way), so this is the
+            # full ROB influence on what follows.
+            head = rob[rob_size]
+            ring = rob[head:rob_size] + rob[:head]  # oldest first
+            idx = 0
+            while idx < rob_size and ring[idx] <= cycle:
+                idx += 1
+            live = tuple(when - cycle if when > cycle else 0
+                         for when in ring[idx:])
+        return (state[1], _canon_ready(ready, cycle),
+                max(state[5] - cycle, 0), max(state[6] - cycle, 0),
+                max(state[7] - cycle, 0), live)
+
+    def expand(state, rel):
+        """Absolute ``ready`` (returned) and ROB (in place) from *rel*,
+        the canonical state at ``state[0]``."""
+        cycle = state[0]
+        if not in_order:
+            live = rel[5]
+            rob[:rob_size] = ([0] * (rob_size - len(live))
+                              + [cycle + d for d in live])
+            rob[rob_size] = 0
+        return {reg: cycle + d for reg, d in rel[1]}
 
     state = (0, 0, 0, 0, 0, 0, 0, 0)
     ready: dict[int, int] = {}
+    # ``rel`` caches canon(state) (None: derive it from ready/rob).  A
+    # memo hit yields the next ``rel`` directly and leaves ready/rob
+    # ``stale``: consecutive hits chain in relative form, and the
+    # absolute scoreboard is rebuilt only before a chunk that has to be
+    # interpreted.
+    rel = None
+    stale = False
     for chunk in chunks:
-        if len(chunk) == 2:
-            lo, hi = chunk
-            if (not use_memo or hi - lo < _SEG_MIN_BLOCKS
-                    or hi - lo > _SEG_MAX_BLOCKS):
-                state = span(lo, hi, state, ready)
-                continue
-            cycle, slots = state[0], state[1]
-            if in_order:
-                rob_key = ()
-            else:
-                # The live ROB suffix, oldest first: the tuple length
-                # fixes how many dispatches retire dead prefill slots
-                # before the first live entry can stall, interior dead
-                # entries clamp to 0 (they retire as no-ops either
-                # way), so this is the full ROB influence on the
-                # segment.
-                head = rob[rob_size]
-                ring = rob[head:rob_size] + rob[:head]  # oldest first
-                idx = 0
-                while idx < rob_size and ring[idx] <= cycle:
-                    idx += 1
-                rob_key = tuple(
-                    when - cycle if when > cycle else 0
-                    for when in ring[idx:])
+        segment = len(chunk) == 4
+        memoizable = (segment and _SEG_MIN_BLOCKS <= chunk[1] - chunk[0]
+                      <= _SEG_MAX_BLOCKS)
+        if memoizable:
+            lo, hi, mem_hi, br_hi = chunk
+            if rel is None:
+                rel = canon(state)
+            cycle = state[0]
             mem_lo, br_lo = state[3], state[4]
-            mem_hi = int(mem_prefix[hi])
-            br_hi = int(br_prefix[hi])
-            key = (bs[lo:hi].tobytes(),
-                   codes[mem_lo:mem_hi].tobytes(),
-                   correct_arr[br_lo:br_hi].tobytes(),
-                   slots, _canon_ready(ready, cycle),
-                   max(state[5] - cycle, 0),
-                   max(state[6] - cycle, 0),
-                   max(state[7] - cycle, 0),
-                   rob_key)
+            key = (block_bytes[lo * block_size:hi * block_size],
+                   code_bytes[mem_lo:mem_hi],
+                   outcome_bytes[br_lo:br_hi]) + rel
             value = memo.get(key)
             if SEG_DEBUG is not None:
                 which = "miss" if value is None else "hit"
                 SEG_DEBUG[which] = SEG_DEBUG.get(which, 0) + 1
-            if value is None:
-                mc_in = state[2]
-                # Run with max_completion zeroed: it is write-only in
-                # the spans, and starting from 0 yields the segment's
-                # own completion max — the translation-invariant part.
-                st = span(lo, hi, (cycle, slots, 0, mem_lo, br_lo,
-                                   state[5], state[6], state[7]), ready)
-                out_cycle = st[0]
-                seg_mc = st[2]
-                out_items = _canon_ready(ready, out_cycle)
-                ports = (max(st[5] - out_cycle, 0),
-                         max(st[6] - out_cycle, 0),
-                         max(st[7] - out_cycle, 0))
-                if in_order:
-                    live = ()
-                else:
-                    head = rob[rob_size]
-                    ring = rob[head:rob_size] + rob[:head]  # oldest first
-                    idx = 0
-                    while idx < rob_size and ring[idx] <= out_cycle:
-                        idx += 1
-                    live = tuple(
-                        when - out_cycle if when > out_cycle else 0
-                        for when in ring[idx:])
-                if len(memo) < _SEG_MEMO_CAP:
-                    memo[key] = (out_cycle - cycle, st[1],
-                                 seg_mc - cycle if seg_mc else 0,
-                                 out_items, ports, live)
-                state = (out_cycle, st[1],
-                         seg_mc if seg_mc > mc_in else mc_in,
-                         st[3], st[4], st[5], st[6], st[7])
-            else:
-                dcycle, slots_out, dmc, out_items, ports, live = value
+            if value is not None:
+                dcycle, dmc, rel = value
                 out_cycle = cycle + dcycle
                 max_completion = state[2]
                 if dmc:
                     cand = cycle + dmc
                     if cand > max_completion:
                         max_completion = cand
-                ready = {reg: out_cycle + d for reg, d in out_items}
-                if not in_order:
-                    rob[:rob_size] = ([0] * (rob_size - len(live))
-                                      + [out_cycle + d for d in live])
-                    rob[rob_size] = 0
-                state = (out_cycle, slots_out, max_completion,
-                         mem_hi, br_hi,
-                         out_cycle + ports[0], out_cycle + ports[1],
-                         out_cycle + ports[2])
+                state = (out_cycle, rel[0], max_completion, mem_hi, br_hi,
+                         out_cycle + rel[2], out_cycle + rel[3],
+                         out_cycle + rel[4])
+                stale = True
+                continue
+        if stale:
+            if SEG_DEBUG is not None:
+                SEG_DEBUG["expand"] = SEG_DEBUG.get("expand", 0) + 1
+            ready = expand(state, rel)
+            stale = False
+        if memoizable:
+            # A miss: interpret, then record the segment's effect.  Run
+            # with max_completion zeroed: it is write-only in the
+            # spans, and starting from 0 yields the segment's own
+            # completion max — the translation-invariant part.
+            mc_in = state[2]
+            st = span(lo, hi, (cycle, state[1], 0, mem_lo, br_lo,
+                               state[5], state[6], state[7]), ready)
+            seg_mc = st[2]
+            state = (st[0], st[1], seg_mc if seg_mc > mc_in else mc_in,
+                     st[3], st[4], st[5], st[6], st[7])
+            rel = canon(state)
+            if len(memo) < _SEG_MEMO_CAP:
+                memo[key] = (st[0] - cycle, seg_mc - cycle if seg_mc else 0,
+                             rel)
+            continue
+        rel = None
+        if segment:  # too short or too long to memoize
+            state = span(chunk[0], chunk[1], state, ready)
             continue
         start, period, periods, warmup, mem_per, br_per = chunk
         pos = start + warmup * period
@@ -1058,19 +1114,8 @@ def _run_cycles(kind, program, pack, mem_lat, correct, regions, config,
             if attempts >= _MAX_ATTEMPTS:
                 continue
             attempts += 1
-            cycle, slots, max_completion = state[0], state[1], state[2]
-            if in_order:
-                rob_sig = None
-            else:
-                head = rob[rob_size]
-                ring = rob[head:rob_size] + rob[:head]  # oldest first
-                rob_sig = tuple(
-                    when - cycle if when > cycle else 0 for when in ring)
-            sig = (slots, _canon_ready(ready, cycle),
-                   max(state[5] - cycle, 0),
-                   max(state[6] - cycle, 0),
-                   max(state[7] - cycle, 0),
-                   rob_sig)
+            cycle, max_completion = state[0], state[2]
+            sig = canon(state)
             locked = False
             for stride in range(1, min(len(history), _MAX_STRIDE) + 1):
                 past_sig, past_cycle, past_mc = history[-stride]
@@ -1083,15 +1128,11 @@ def _run_cycles(kind, program, pack, mem_lat, correct, regions, config,
                     cycle += strides * delta
                     if delta:
                         max_completion += strides * delta
-                    ready = {reg: cycle + d for reg, d in sig[1]}
-                    if not in_order:
-                        for i, d in enumerate(sig[5]):
-                            rob[i] = cycle + d
-                        rob[rob_size] = 0
-                    state = (cycle, slots, max_completion,
+                    state = (cycle, sig[0], max_completion,
                              state[3] + skipped * mem_per,
                              state[4] + skipped * br_per,
                              cycle + sig[2], cycle + sig[3], cycle + sig[4])
+                    ready = expand(state, sig)
                     pos += skipped * period
                     done += skipped
                     locked = True
@@ -1127,9 +1168,11 @@ def replay_trace(model, trace, decoded=None) -> TimingResult:
     stat = _binary_stat(trace.binary, decoded)
     pack = _trace_pack(trace, stat)
     program = _program_for(trace.binary, decoded, config.latencies)
-    codes, l1_hits, l1_misses = _cache_sim(pack.mem, config)
-    correct, branch_hits, branch_misses = _predictor_sim(
-        pack.br, config.predictor_entries)
+    codes, l1_hits, l1_misses = _stream_result(
+        pack, (config.l1, config.l2), lambda: _cache_sim(pack.mem, config))
+    correct, branch_hits, branch_misses = _stream_result(
+        pack, config.predictor_entries,
+        lambda: _predictor_sim(pack.br, config.predictor_entries))
     lat_by_code = np.array(
         [config.l1_hit_cycles, config.l2_hit_cycles, config.memory_cycles],
         dtype=np.int64)

@@ -283,14 +283,13 @@ class TimingModel:
         self.config = config or TimingConfig()
 
     def simulate(self, trace) -> TimingResult:
-        """Replay *trace*: on the batched kernel for long traces of the
-        models it understands, else on :meth:`replay`.  Both give
-        pickle-equal results."""
+        """Replay *trace*: on the batched kernel for the models it
+        understands, else on :meth:`replay`.  Both give pickle-equal
+        results."""
         decoded = decode_binary(trace.binary)
-        from repro.sim import kernels  # deferred: kernels imports this module
+        if self.kernel_kind is not None:
+            from repro.sim import kernels  # deferred: kernels imports this module
 
-        if (self.kernel_kind is not None
-                and trace.instructions >= kernels.AUTO_THRESHOLD):
             return kernels.replay_trace(self, trace, decoded)
         return self.replay(trace, decoded)
 

@@ -1,5 +1,6 @@
-"""Batched replay kernels: byte-identical equivalence + the automatic
-choice between them and the python models.
+"""Batched replay kernels: byte-identical equivalence, the single
+replay path through ``TimingModel.simulate``, and the per-trace stream
+results and segment-memo hit chain a machine sweep reuses.
 
 The contract under test is absolute: for every trace and every
 configuration, :func:`repro.sim.kernels.replay_trace` must produce a
@@ -22,12 +23,15 @@ from __future__ import annotations
 import gc
 import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.cc.driver import compile_program
 from repro.sim import kernels
+from repro.sim.cache import CacheConfig
 from repro.sim.functional import run_binary
 from repro.sim.inorder import InOrderModel
 from repro.sim.machines import MACHINES
@@ -162,8 +166,8 @@ class TestRandomTraceProperty:
 
 
 class TestSelection:
-    """``TimingModel.simulate`` picks the batched kernel by itself for
-    traces of at least ``AUTO_THRESHOLD`` instructions."""
+    """``TimingModel.simulate`` replays every trace on the batched
+    kernel for models that have one, and in python otherwise."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -182,24 +186,24 @@ class TestSelection:
     def trace(self, fib_source):
         return run_binary(compile_program(fib_source, "x86", 0).binary)
 
-    def test_auto_picks_numpy_past_threshold(self, trace, kernel_calls,
-                                             monkeypatch):
-        monkeypatch.setattr(kernels, "AUTO_THRESHOLD", trace.instructions)
-        OutOfOrderModel().simulate(trace)
-        assert kernel_calls == ["OutOfOrderModel"]
+    @pytest.mark.parametrize("model_cls", (OutOfOrderModel, InOrderModel))
+    @pytest.mark.parametrize("source", ("fib", "int main(){ return 0; }"),
+                             ids=("fib", "return-0"))
+    def test_simulate_always_uses_kernel(self, source, model_cls,
+                                         kernel_calls, fib_source):
+        """No length threshold: a loop and a near-empty trace alike."""
+        text = fib_source if source == "fib" else source
+        trace = run_binary(compile_program(text, "x86", 0).binary)
+        model = model_cls()
+        result = model.simulate(trace)
+        assert kernel_calls == [model_cls.__name__]
+        assert pickle.dumps(result) == pickle.dumps(
+            model.replay(trace, decode_binary(trace.binary)))
 
-    def test_auto_keeps_python_below_threshold(self, trace, kernel_calls,
-                                               monkeypatch):
-        monkeypatch.setattr(kernels, "AUTO_THRESHOLD", trace.instructions + 1)
-        InOrderModel().simulate(trace)
-        assert kernel_calls == []
-
-    def test_unbatched_model_replays_in_python(self, trace, kernel_calls,
-                                                monkeypatch):
+    def test_unbatched_model_replays_in_python(self, trace, kernel_calls):
         class Unbatched(OutOfOrderModel):
             kernel_kind = None
 
-        monkeypatch.setattr(kernels, "AUTO_THRESHOLD", 0)
         result = Unbatched().simulate(trace)
         assert kernel_calls == []
         assert pickle.dumps(result) == pickle.dumps(OutOfOrderModel().replay(
@@ -214,8 +218,8 @@ class TestSelection:
 
     def test_simulate_dispatch_is_byte_identical(self, kernel_calls):
         """The TimingModel.simulate hook end to end on a long trace: the
-        kernel it picks gives the python model's bytes."""
-        trace = trace_for("crc32", "small")  # ~196k instrs > threshold
+        kernel gives the python model's bytes."""
+        trace = trace_for("crc32", "small")
         model = OutOfOrderModel()
         fast = model.simulate(trace)
         assert kernel_calls == ["OutOfOrderModel"]
@@ -227,12 +231,167 @@ class TestPackCacheLifetime:
     def test_pack_dies_with_its_trace(self, loopy_source):
         binary = compile_program(loopy_source, "x86", 0).binary
         trace = run_binary(binary)
+        gc.collect()  # reap packs of earlier tests' dead traces first
         before = kernels.pack_cache_size()
         kernels.replay_trace(InOrderModel(), trace)
         assert kernels.pack_cache_size() == before + 1
         del trace
         gc.collect()
         assert kernels.pack_cache_size() == before
+
+
+def _pack(trace):
+    decoded = decode_binary(trace.binary)
+    return kernels._trace_pack(trace, kernels._binary_stat(trace.binary,
+                                                           decoded))
+
+
+def assert_simulate_pinned(model, trace) -> None:
+    """``simulate`` (the sweep's entry point) gives the python bytes."""
+    fast = model.simulate(trace)
+    slow = model.replay(trace, decode_binary(trace.binary))
+    assert pickle.dumps(fast) == pickle.dumps(slow), type(model).__name__
+
+
+class TestStreamMemo:
+    """Cache and predictor streams are simulated once per trace and
+    geometry, however many machines replay the trace."""
+
+    def test_each_geometry_simulated_once(self, loopy_source, monkeypatch):
+        calls = {"cache": 0, "predictor": 0}
+        cache_sim, predictor_sim = kernels._cache_sim, kernels._predictor_sim
+
+        def count(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        monkeypatch.setattr(kernels, "_cache_sim", count("cache", cache_sim))
+        monkeypatch.setattr(kernels, "_predictor_sim",
+                            count("predictor", predictor_sim))
+        trace = run_binary(compile_program(loopy_source, "x86", 0).binary)
+        for l1_kb in (1, 8):
+            for l2_kb in (16, 512):
+                for rob in (16, 64, 128):
+                    config = TimingConfig(
+                        rob_size=rob, l1=CacheConfig(l1_kb * 1024, 32, 4),
+                        l2=CacheConfig(l2_kb * 1024, 32, 8))
+                    assert_simulate_pinned(OutOfOrderModel(config), trace)
+        assert calls == {"cache": 4, "predictor": 1}
+        for result in _pack(trace).streams.values():
+            assert not result[0].flags.writeable
+
+    def test_streams_stay_bounded(self, loopy_source):
+        trace = run_binary(compile_program(loopy_source, "x86", 0).binary)
+        bound = kernels.STREAMS_CACHE_SIZE
+        for size in range(bound + 3):
+            config = TimingConfig(l1=CacheConfig(512 << size, 32, 2))
+            assert_simulate_pinned(InOrderModel(config), trace)
+            assert len(_pack(trace).streams) <= bound
+        assert len(_pack(trace).streams) == bound
+        # The predictor result, used by every replay, is never the
+        # least recently used entry, so it survives the evictions.
+        assert TimingConfig().predictor_entries in _pack(trace).streams
+
+    def test_threads_sharing_a_trace_agree(self, loopy_source):
+        """Thread-backend replays of one trace share its pack."""
+        trace = run_binary(compile_program(loopy_source, "x86", 0).binary)
+        configs = [TimingConfig(l1=CacheConfig(512 << size, 32, 2))
+                   for size in range(kernels.STREAMS_CACHE_SIZE + 2)]
+        decoded = decode_binary(trace.binary)
+        expected = [pickle.dumps(InOrderModel(c).replay(trace, decoded))
+                    for c in configs]
+        results = {}
+
+        def work(index):
+            order = configs[index:] + configs[:index]
+            results[index] = {
+                c.l1.size_bytes: pickle.dumps(InOrderModel(c).simulate(trace))
+                for c in order}
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = {c.l1.size_bytes: e for c, e in zip(configs, expected)}
+        assert results == {i: want for i in range(4)}
+        assert len(_pack(trace).streams) == kernels.STREAMS_CACHE_SIZE
+
+
+# Warm phase-1 loop iterations that memoize, then a loop whose single
+# iteration (~4.2k blocks) overflows a memo segment and is locked as a
+# periodic region instead; on the third outer pass the segment just
+# before that region is a memo hit, so the scoreboard is rebuilt from
+# its relative form right before the locked region runs.
+HIT_THEN_REGION_SOURCE = r"""
+int data[64];
+int main() {
+  int acc = 0;
+  int t;
+  int r;
+  int i;
+  for (i = 0; i < 64; i++) { data[i] = i * 3 - 17; }
+  for (t = 0; t < 3; t++) {
+    for (r = 0; r < 12; r++) {
+      for (i = 0; i < 24; i++) {
+        acc = acc + data[i];
+        if ((i & 7) == 0) { acc = acc + 3; }
+      }
+    }
+    if (data[3] > 5) { acc = acc - 1; }
+    if (data[4] < 3) { acc = acc + 2; }
+    if ((data[5] & 1) == 0) { acc = acc + 1; }
+    for (r = 0; r < 6; r++) {
+      for (i = 0; i < 1400; i++) { acc = acc + (i ^ r); }
+    }
+  }
+  printf("%d\n", acc);
+  return 0;
+}
+"""
+
+
+class TestHitChain:
+    """Memo hits chain in relative form; the absolute scoreboard is
+    rebuilt only before a chunk that has to be interpreted."""
+
+    @pytest.fixture(autouse=True)
+    def seg_debug(self):
+        kernels.SEG_DEBUG = {}
+        yield kernels.SEG_DEBUG
+        kernels.SEG_DEBUG = None
+
+    @pytest.mark.parametrize("model", (
+        OutOfOrderModel(TimingConfig(rob_size=128)), InOrderModel()),
+        ids=("ooo-rob128", "inorder"))
+    def test_loopy_trace_hits(self, model, loopy_source, seg_debug):
+        trace = run_binary(compile_program(loopy_source, "x86", 0).binary)
+        assert_simulate_pinned(model, trace)
+        assert seg_debug.get("hit", 0) > 0, seg_debug
+
+    @pytest.mark.parametrize("model", (OutOfOrderModel(), InOrderModel()),
+                             ids=("ooo", "inorder"))
+    def test_locked_region_after_hits(self, model, seg_debug):
+        trace = run_binary(compile_program(HIT_THEN_REGION_SOURCE, "x86",
+                                           0).binary)
+        assert_simulate_pinned(model, trace)
+        pack = _pack(trace)
+        config = model.config
+        codes = pack.streams[(config.l1, config.l2)][0]
+        correct = pack.streams[config.predictor_entries][0]
+        rob = config.rob_size if model.kernel_kind == "ooo" else 0
+        assert kernels._steady_regions(pack, codes, correct, rob)
+        assert seg_debug.get("hit", 0) > 0, seg_debug
+        assert seg_debug.get("expand", 0) > 0, seg_debug
 
 
 class TestPredictorVectorization:
