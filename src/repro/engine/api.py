@@ -265,6 +265,34 @@ class Engine:
                                machine_spec, side="org"),
         )
 
+    def consolidated_timings(self, members, specs, levels,
+                             target_instructions: int) -> dict:
+        """Time one consolidated clone of *members* on every machine of
+        *specs* at every level of *levels* (Fig. 11's synthetic side).
+
+        Returns ``{(isa, level): {spec.fingerprint(): TimingResult}}``.
+        Each (ISA, level) is one content-addressed node, probed first:
+        a warm call loads no profile, trace or binary.  Only a miss
+        resolves the members' profiles and builds, runs and times the
+        clone — counted as one miss.
+        """
+        members = tuple(members)
+        by_isa: dict[str, list] = {}
+        for spec in specs:
+            by_isa.setdefault(spec.isa, []).append(spec)
+        timings = {}
+        for isa, isa_specs in sorted(by_isa.items()):
+            for level in levels:
+                task = _tasks.consolidated_timing_task(
+                    members, level, target_instructions, isa_specs)
+                value = self._probe(task)
+                if value is _MISS:
+                    for workload, input_name in members:
+                        self.profile(workload, input_name)
+                    value = self._materialize(task, probed_miss=True)
+                timings[(isa, level)] = value
+        return timings
+
     # -- bulk execution ----------------------------------------------------
 
     def warm(

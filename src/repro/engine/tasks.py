@@ -1,7 +1,8 @@
 """The experiment pipeline expressed as a DAG of pure task nodes.
 
 Each node is one paper-pipeline stage applied to one (workload, input,
-ISA, opt-level) coordinate:
+ISA, opt-level) coordinate — or, for consolidated-timing, to an ordered
+list of (workload, input) members at one (ISA, opt-level):
 
     compile ──▶ run ──▶ replay@machine       (original side, per ISA/opt)
     compile@ref ──▶ run@ref ──▶ profile ──▶ synthesize
@@ -9,6 +10,10 @@ ISA, opt-level) coordinate:
                           compile-clone ◀──────┘
                                  │
                             run-clone ──▶ replay@machine   (synthetic side)
+
+    profile (member 1) ──┐
+    profile (member 2) ──┼──▶ consolidated-timing    (Fig. 11's synthetic
+    ...                ──┘                            side, per ISA/opt)
 
 Stage functions take ``(payload, deps)`` where ``deps`` maps dependency
 task ids to their results, and return a picklable artifact.  They are
@@ -19,12 +24,20 @@ payload (synthesis is seeded), which is what lets
 *before* execution — upstream clone sources never need to be in hand to
 decide whether a downstream node is already cached.
 
-The seventh stage, **replay**, times an execution trace on a parametric
+The **replay** stage times an execution trace on a parametric
 :class:`~repro.sim.machines.MachineSpec`.  Its payload carries the spec
 itself (for execution) while its content-address uses
 :meth:`MachineSpec.fingerprint` — so a replay's key is computable
 without the trace in hand, exactly like every other stage, and a
 design-space sweep's hot path caches and fans out like any other node.
+
+The **consolidated-timing** stage is Fig. 11's synthetic side: it
+merges several members' profiles into one consolidated clone
+(§II-B.e), compiles and runs it at one (ISA, opt level), and times the
+trace on every given machine of that ISA.  Its artifact holds only the
+``{machine fingerprint: TimingResult}`` dict — the clone's binary and
+trace are larger than the rest of a report's store and no reader needs
+them — so a warm Fig. 11 costs one small read per (ISA, level).
 
 :data:`STAGE_COSTS` is the scheduler's per-stage cost table: a relative
 estimate of each stage's compute weight, which cost-aware backends (the
@@ -34,6 +47,7 @@ cheap warm replays to threads and heavy compiles to processes.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable
@@ -55,6 +69,7 @@ STAGE_SYNTHESIZE = "synthesize"
 STAGE_COMPILE_CLONE = "compile-clone"
 STAGE_RUN_CLONE = "run-clone"
 STAGE_REPLAY = "replay"
+STAGE_CONSOLIDATED_TIMING = "consolidated-timing"
 
 STAGES = (
     STAGE_COMPILE,
@@ -64,6 +79,7 @@ STAGES = (
     STAGE_COMPILE_CLONE,
     STAGE_RUN_CLONE,
     STAGE_REPLAY,
+    STAGE_CONSOLIDATED_TIMING,
 )
 
 #: Relative compute weight per stage — the scheduler's cost table.
@@ -80,6 +96,8 @@ STAGE_COSTS: dict[str, float] = {
     STAGE_COMPILE_CLONE: 8.0,
     STAGE_RUN_CLONE: 4.0,
     STAGE_REPLAY: 0.5,
+    # One compile, one run and a few replays of a suite-sized clone.
+    STAGE_CONSOLIDATED_TIMING: 36.0,
 }
 
 #: Cost assumed for stages the table doesn't know (third-party graphs):
@@ -129,7 +147,7 @@ def run_stage(task: Task, deps: dict[str, Any]):
     from repro.cc.driver import compile_program
     from repro.profiling.profile import profile_trace
     from repro.sim.functional import run_binary
-    from repro.synthesis.synthesizer import synthesize
+    from repro.synthesis.synthesizer import synthesize, synthesize_consolidated
 
     payload = task.payload
     if task.stage == STAGE_COMPILE:
@@ -162,6 +180,16 @@ def run_stage(task: Task, deps: dict[str, Any]):
             else STAGE_RUN
         trace = _single_dep(task, deps, trace_stage)
         return payload["machine_spec"].build().simulate(trace)
+    if task.stage == STAGE_CONSOLIDATED_TIMING:
+        profiles = [deps[profile_task(workload, input_name).id]
+                    for workload, input_name in payload["members"]]
+        consolidated = synthesize_consolidated(
+            profiles, target_instructions=payload["target_instructions"])
+        compiled = compile_program(consolidated.source, payload["isa"],
+                                   payload["opt_level"])
+        trace = run_binary(compiled.binary)
+        return {spec.fingerprint(): spec.build().simulate(trace)
+                for spec in payload["machine_specs"]}
     raise ValueError(f"unknown stage: {task.stage!r}")
 
 
@@ -176,6 +204,18 @@ def key_fields(task: Task) -> dict:
     version therefore changes the key.
     """
     payload = task.payload
+    if task.stage == STAGE_CONSOLIDATED_TIMING:
+        # Members in order (the clone's layout follows it); machines by
+        # fingerprint, so clocks and names never split an artifact.
+        return {
+            "source_shas": [pair_fingerprint(workload, input_name)
+                            for workload, input_name in payload["members"]],
+            "ref_isa": REF_ISA, "ref_opt": REF_OPT,
+            "target_instructions": payload["target_instructions"],
+            "isa": payload["isa"], "opt_level": payload["opt_level"],
+            "machines": [spec.fingerprint()
+                         for spec in payload["machine_specs"]],
+        }
     fields: dict = {
         "source_sha": pair_fingerprint(payload["workload"], payload["input"])
     }
@@ -299,6 +339,42 @@ def replay_task(workload: str, input_name: str, opt_level: int,
         )
     return Task(id=f"replay:org:{coord}@{fp}", stage=STAGE_REPLAY,
                 payload=payload, deps=(f"run:{coord}",))
+
+
+def consolidated_timing_task(members, opt_level: int,
+                             target_instructions: int,
+                             machine_specs) -> Task:
+    """Time one consolidated clone of *members* — ordered ``(workload,
+    input)`` pairs — at *opt_level* on each of *machine_specs*, which
+    must share one ISA (the clone is compiled for it).
+
+    Specs are deduplicated and sorted by fingerprint, so the task and
+    its key depend only on the set of cycle models; the task id embeds
+    a digest of that set so different machine sets never collide.
+    """
+    members = tuple((workload, input_name)
+                    for workload, input_name in members)
+    by_fingerprint = {spec.fingerprint(): spec for spec in machine_specs}
+    isas = {spec.isa for spec in by_fingerprint.values()}
+    if len(isas) != 1:
+        raise ValueError("consolidated timing needs machines of exactly "
+                         f"one ISA, got {sorted(isas)}")
+    (isa,) = isas
+    fingerprints = sorted(by_fingerprint)
+    machines = hashlib.sha256(",".join(fingerprints).encode()).hexdigest()
+    names = ",".join(f"{workload}/{input_name}"
+                     for workload, input_name in members)
+    payload = {"members": members, "isa": isa, "opt_level": opt_level,
+               "target_instructions": target_instructions,
+               "machine_specs": tuple(by_fingerprint[fp]
+                                      for fp in fingerprints)}
+    return Task(
+        id=f"consolidated-timing:{names}@{isa}-O{opt_level}"
+           f"#{target_instructions}@{machines[:12]}",
+        stage=STAGE_CONSOLIDATED_TIMING, payload=payload,
+        deps=tuple(dict.fromkeys(profile_task(workload, input_name).id
+                                 for workload, input_name in members)),
+    )
 
 
 def build_pipeline_graph(

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cc.driver import compile_program
 from repro.experiments.runner import ExperimentRunner, QUICK_PAIRS, format_table
-from repro.sim.functional import run_binary
-from repro.sim.machines import MACHINES, Machine
-from repro.synthesis.synthesizer import synthesize_consolidated
+from repro.sim.machines import MACHINES
 
 OPT_LEVELS = (0, 1, 2, 3)
 
@@ -82,65 +79,50 @@ def run_fig11(
     levels=OPT_LEVELS,
     target_instructions: int | None = None,
 ) -> Fig11Result:
-    """The machines are :class:`Machine` instances — the five Table III
-    constants by default, but any parametric machine (built via
-    ``machine_from_axes`` / a ``MachineSpec``) slots in unchanged; the
-    explorer's ``table3`` preset runs this same grid as a sweep.
+    """The machines are :class:`Machine` instances built from a
+    :class:`MachineSpec` — the five Table III constants by default, but
+    any parametric machine (``machine_from_axes`` / ``spec.build()``)
+    slots in unchanged; the explorer's ``table3`` preset runs this same
+    grid as a sweep.  A machine without a spec raises ``ValueError``.
     """
     if target_instructions is None:
         target_instructions = runner.target_instructions
+    for machine in machines:
+        if machine.spec is None:
+            raise ValueError(f"fig11 needs machines built from a "
+                             f"MachineSpec; {machine.name!r} has none")
     result = Fig11Result()
     # Original side: suite-average runtime per (machine, level), timed
     # through the engine's replay stage — each (machine, level, pair)
     # is a content-addressed replay node, so a warm store serves the
     # whole grid without loading a single trace, and machines sharing
-    # cycle-model axes share artifacts.  Machines built outside
-    # MachineSpec (no ``.spec``) fall back to direct trace simulation.
-    spec_machines = [m for m in machines if m.spec is not None]
-    fallback = [m for m in machines if m.spec is None]
+    # cycle-model axes share artifacts.
     machine_points = {
         (m.spec.fingerprint(), level): (m.spec, level)
-        for m in spec_machines for level in levels
+        for m in machines for level in levels
     }
-    coords = sorted({(m.isa.name, level) for m in fallback
-                     for level in levels})
-    runner.warm(pairs, coords, sides=("org",),
+    runner.warm(pairs, (), sides=("org",),
                 machine_points=[machine_points[key]
                                 for key in sorted(machine_points)])
+    # Synthetic side: one consolidated clone of the whole set (§II-B.e),
+    # timed per (ISA, level) by the engine's consolidated-timing stage.
+    syn_timings = runner.consolidated_timings(
+        pairs, [m.spec for m in machines], levels,
+        target_instructions * len(pairs))
     org_times: dict[tuple[str, int], float] = {}
+    syn_times: dict[tuple[str, int], float] = {}
     for machine in machines:
         hz = machine.frequency_ghz * 1e9
         for level in levels:
             total = 0.0
             for workload, input_name in pairs:
-                if machine.spec is not None:
-                    timing = runner.replay_timing(workload, input_name,
-                                                  machine.spec, level)
-                    total += timing.cycles / hz
-                else:
-                    trace = runner.original_trace(workload, input_name,
-                                                  machine.isa.name, level)
-                    total += machine.runtime_seconds(trace)
+                timing = runner.replay_timing(workload, input_name,
+                                              machine.spec, level)
+                total += timing.cycles / hz
             org_times[(machine.name, level)] = total / len(pairs)
-    # Synthetic side: one consolidated clone of the whole set (§II-B.e).
-    profiles = [runner.profile(workload, inp) for workload, inp in pairs]
-    consolidated = synthesize_consolidated(
-        profiles, target_instructions=target_instructions * len(pairs)
-    )
-    # The consolidated source is derived per call, so its compiles stay
-    # outside the store; memoize per (ISA, level) across machines.
-    syn_traces: dict[tuple[str, int], object] = {}
-    syn_times: dict[tuple[str, int], float] = {}
-    for machine in machines:
-        for level in levels:
-            coord = (machine.isa.name, level)
-            if coord not in syn_traces:
-                compiled = compile_program(consolidated.source, machine.isa,
-                                           level)
-                syn_traces[coord] = run_binary(compiled.binary)
-            syn_times[(machine.name, level)] = machine.runtime_seconds(
-                syn_traces[coord]
-            )
+            syn = syn_timings[(machine.spec.isa, level)][
+                machine.spec.fingerprint()]
+            syn_times[(machine.name, level)] = syn.cycles / hz
     # Normalize both sides to P4-3GHz at -O0 (the paper's baseline).
     baseline_machine = machines[0].name
     org_base = org_times[(baseline_machine, 0)]

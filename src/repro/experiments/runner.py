@@ -96,6 +96,14 @@ class ExperimentRunner:
         return self.engine.replay_timing(workload, input_name, machine_spec,
                                          opt_level, side=side)
 
+    def consolidated_timings(self, pairs, specs, levels,
+                             target_instructions: int) -> dict:
+        """Time one consolidated clone of *pairs* on *specs* at each of
+        *levels* through the engine's cached consolidated-timing stage:
+        ``{(isa, level): {spec.fingerprint(): TimingResult}}``."""
+        return self.engine.consolidated_timings(pairs, specs, levels,
+                                                target_instructions)
+
     # -- bulk / observability ----------------------------------------------
 
     def warm(self, pairs, coords=(("x86", 0),), workers: int | None = None,

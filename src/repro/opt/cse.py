@@ -84,12 +84,18 @@ def eliminate_common_subexpressions_function(func: IRFunction) -> int:
     changes = 0
     for blk in func.blocks:
         available: dict[tuple, Temp] = {}
+        # Kill indexes, filled as keys become available: temp id -> keys
+        # mentioning it, value temp -> keys it holds, and the load keys.
+        # Entries may outlive their key; a kill pops only live ones.
+        mentions: dict[int, list[tuple]] = {}
+        holders: dict[Temp, list[tuple]] = {}
+        loads: list[tuple] = []
         for i, instr in enumerate(blk.instrs):
             if isinstance(instr, (Store, Call, Print)):
                 # Conservative: all loads die on stores and calls.
-                available = {
-                    key: temp for key, temp in available.items() if key[0] != "mem"
-                }
+                for k in loads:
+                    available.pop(k, None)
+                loads.clear()
                 continue
             key = _expr_key(instr)
             definition = instr.defs()
@@ -103,15 +109,18 @@ def eliminate_common_subexpressions_function(func: IRFunction) -> int:
             if definition is not None:
                 # Kill expressions that mention the redefined temp, and
                 # any availability produced by an earlier def of it.
-                dead = [
-                    k
-                    for k, temp in available.items()
-                    if temp == definition or definition.id in _mentioned_temps(k)
-                ]
-                for k in dead:
-                    del available[k]
+                for k in mentions.pop(definition.id, ()):
+                    available.pop(k, None)
+                for k in holders.pop(definition, ()):
+                    if available.get(k) == definition:
+                        del available[k]
             if key is not None and definition is not None:
                 available[key] = definition
+                for temp_id in _mentioned_temps(key):
+                    mentions.setdefault(temp_id, []).append(key)
+                holders.setdefault(definition, []).append(key)
+                if key[0] == "mem":
+                    loads.append(key)
     return changes
 
 

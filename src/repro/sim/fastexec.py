@@ -41,10 +41,10 @@ potential trap site, since a trap discards all other state).
 
 :func:`run_compiled` returns ``None`` — and the caller runs the
 reference interpreter — for unsupported binaries (unknown opcodes,
-non-contiguous ``arg`` staging), entry frames larger than the stack and
-``RecursionError``.  Anchor tables are plain dicts mutated under the GIL;
-concurrent runs can at worst duplicate a recording or skew the adaptive
-counters — never corrupt a trace.
+``arg`` staging that crosses a block boundary), entry frames larger
+than the stack and ``RecursionError``.  Anchor tables are plain dicts
+mutated under the GIL; concurrent runs can at worst duplicate a
+recording or skew the adaptive counters — never corrupt a trace.
 """
 
 from __future__ import annotations
@@ -637,29 +637,44 @@ class _FuncEmitter:
         return out
 
     def _verify_staging(self):
-        """Args must be staged contiguously, immediately before their
-        call/print, in the same block — anything else falls back."""
+        """Args must be staged in the same block as their call/print —
+        anything else falls back.  When other instructions interrupt the
+        staging (they may overwrite a staged register), each staged value
+        is snapshotted into a local at its ``arg`` and the consumer reads
+        the locals; otherwise it reads the registers directly."""
         self.consumers: dict = {}
+        self.snapshots: dict = {}  # (block, pos) of an arg -> assignment
         for bi, ex in enumerate(self.executed):
             staged: list[str] = []
+            positions: list[int] = []
+            interrupted = False
             for pos, ins in enumerate(ex):
                 op = ins.op
                 if op == "arg":
                     staged.append(
                         f"r{ins.a}" if ins.a is not None else self._imm(ins.b_imm)
                     )
+                    positions.append(pos)
                 elif op == "farg":
                     staged.append(
                         f"f{ins.a}" if ins.a is not None else self._imm(ins.b_imm)
                     )
+                    positions.append(pos)
                 elif op in ("call", "print"):
+                    if interrupted:
+                        names = [self._temp() for _ in staged]
+                        for at, name, value in zip(positions, names, staged):
+                            self.snapshots[(bi, at)] = f"{name} = {value}"
+                        staged = names
                     self.consumers[(bi, pos)] = staged
-                    staged = []
+                    staged, positions, interrupted = [], [], False
                 elif staged:
-                    raise _Unsupported(
-                        f"arg staging interrupted by {op!r} in "
-                        f"{self.func.name}"
-                    )
+                    if op in _TERMINATORS:
+                        raise _Unsupported(
+                            f"arg staging interrupted by {op!r} in "
+                            f"{self.func.name}"
+                        )
+                    interrupted = True
             if staged:
                 raise _Unsupported(
                     f"arg staging crosses a block boundary in {self.func.name}"
@@ -939,6 +954,9 @@ class _FuncEmitter:
     def _emit_ins(self, bi, pos, ins, ind, mep):
         op = ins.op
         if op in ("arg", "farg"):
+            snapshot = self.snapshots.get((bi, pos))
+            if snapshot is not None:
+                self._line(ind, snapshot)
             return
         if op == "ld":
             self._line(

@@ -39,14 +39,34 @@ def equiv_pairs():
     return SAMPLE_PAIRS
 
 
+# Optimized binaries whose argument staging other instructions
+# interrupt (a load between two ``arg``s, say): the compiled engine
+# snapshots the staged values instead of falling back.  The large
+# inputs join under REPRO_EXEC_EQUIV_ALL=1.
+_INTERRUPTED_STAGING = tuple(
+    (workload, isa, level)
+    for workload in ("bitcount", "jpeg", "qsort", "susan")
+    for isa, level in (("x86", 1), ("x86", 2), ("x86", 3))
+) + (("susan", "x86_64", 2), ("susan", "x86_64", 3))
+
+
+def staging_coords():
+    inputs = ("small", "large") \
+        if os.environ.get("REPRO_EXEC_EQUIV_ALL") == "1" else ("small",)
+    return tuple((workload, input_name, isa, level)
+                 for workload, isa, level in _INTERRUPTED_STAGING
+                 for input_name in inputs)
+
+
 _BINARIES: dict = {}
 
 
-def binary_for(workload: str, input_name: str):
-    key = (workload, input_name)
+def binary_for(workload: str, input_name: str, isa: str = "x86",
+               opt_level: int = 0):
+    key = (workload, input_name, isa, opt_level)
     if key not in _BINARIES:
         source = WORKLOADS[workload].source_for(input_name)
-        _BINARIES[key] = compile_program(source, "x86", 0).binary
+        _BINARIES[key] = compile_program(source, isa, opt_level).binary
     return _BINARIES[key]
 
 
@@ -74,6 +94,15 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("workload,input_name", SAMPLE_PAIRS)
     def test_untraced_byte_identical(self, workload, input_name):
         assert_equivalent(binary_for(workload, input_name), collect_trace=False)
+
+    @pytest.mark.parametrize("collect_trace", [True, False],
+                             ids=["traced", "untraced"])
+    @pytest.mark.parametrize("workload,input_name,isa,level",
+                             staging_coords())
+    def test_interrupted_staging_byte_identical(
+            self, workload, input_name, isa, level, collect_trace):
+        assert_equivalent(binary_for(workload, input_name, isa, level),
+                          collect_trace=collect_trace)
 
     @pytest.mark.parametrize("workload,input_name", SAMPLE_PAIRS[:3])
     def test_memo_kill_switch_byte_identical(self, workload, input_name,
