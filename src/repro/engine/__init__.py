@@ -9,8 +9,8 @@ Three pieces:
   paper's pipeline as a DAG of pure stages plus a topological scheduler
   that drives a pluggable execution backend;
 * :mod:`repro.engine.backends` — where stages run: ``inline``,
-  ``thread``, ``process``, ``shard`` (isolated subprocess shards
-  synced through the store), or ``auto`` (cost-routed composite:
+  ``process``, ``shard`` (isolated subprocess shards synced through
+  the store), or ``auto`` (cost-routed composite:
   cheap replays to threads, heavy compiles to processes), selected via
   ``--backend`` / ``REPRO_BACKEND`` / ``Engine(backend=...)``;
 * :mod:`repro.engine.api` — the :class:`Engine` facade that
@@ -25,7 +25,6 @@ from repro.engine.backends import (
     InlineBackend,
     ProcessPoolBackend,
     SubprocessShardBackend,
-    ThreadBackend,
     backend_names,
     register_backend,
     resolve_backend,
@@ -57,7 +56,6 @@ __all__ = [
     "StoreStats",
     "SubprocessShardBackend",
     "Task",
-    "ThreadBackend",
     "backend_names",
     "build_pipeline_graph",
     "canonical_key",

@@ -6,9 +6,12 @@ Combines three layers of reuse:
   old ``ExperimentRunner`` dicts);
 * the persistent content-addressed :class:`ArtifactStore` (results
   survive across processes and invocations);
-* the DAG scheduler (:meth:`warm` fans the whole experiment grid out
-  over the configured execution backend before the figures read
-  anything).
+* the DAG scheduler, the one resolver behind every lookup:
+  :meth:`warm` fans the whole experiment grid out over the configured
+  execution backend before the figures read anything, and each
+  pipeline step (:meth:`profile`, :meth:`replay_timing`, ...) runs its
+  small closure graph inline.  Both load lazily from the sinks, so a
+  warm lookup reads only the node it returns.
 
 ``ExperimentRunner`` delegates every pipeline step here, so all figure
 modules, the report generator, and the benchmark harness get caching
@@ -17,11 +20,10 @@ and parallelism without code changes.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterable
 
 from repro.engine import tasks as _tasks
-from repro.engine.scheduler import run_graph
+from repro.engine.scheduler import run_graph, sinks
 from repro.engine.store import ArtifactStore, StoreStats
 from repro.engine.tasks import (
     DEFAULT_TARGET_INSTRUCTIONS,
@@ -29,11 +31,8 @@ from repro.engine.tasks import (
     REF_OPT,
     Task,
     build_pipeline_graph,
-    key_fields,
     run_stage,
 )
-
-_MISS = object()
 
 
 class Engine:
@@ -55,7 +54,7 @@ class Engine:
         self.target_instructions = target_instructions
         self.workers = max(1, workers)
         #: Execution backend for bulk runs: an ExecutionBackend
-        #: instance, a registered name (inline/thread/process/shard),
+        #: instance, a registered name (inline/process/shard/auto),
         #: or None — resolved per warm() against $REPRO_BACKEND and the
         #: worker count (see repro.engine.backends).
         self.backend = backend
@@ -65,14 +64,14 @@ class Engine:
         #: overlapping jobs share in-flight nodes.
         self.runner = runner if runner is not None else run_stage
         #: ``callable(stage, seconds)`` observing every stage this
-        #: engine executes (inline chains and warm() graphs alike) —
+        #: engine executes (lookups and warm() graphs alike) —
         #: the hook a :class:`~repro.serve.costs.CostModel` learns
         #: measured stage costs through.  Cache hits are not reported.
         self.on_timing = on_timing
         #: Optional observability handles (:mod:`repro.obs`): a
         #: :class:`~repro.obs.MetricsRegistry` and/or
         #: :class:`~repro.obs.Tracer` threaded through every graph this
-        #: engine runs (and inline chains via :meth:`_materialize`).
+        #: engine runs (lookups and warm() graphs alike).
         self.metrics = metrics
         self.tracer = tracer
         if store is not None:
@@ -91,81 +90,29 @@ class Engine:
         """Store counters (zeros when caching is disabled)."""
         return self.store.stats if self.store is not None else StoreStats()
 
-    def _probe(self, task: Task):
-        """Resolve *task* without computing (memo → store) or ``_MISS``."""
-        if task.id in self._memo:
-            return self._memo[task.id]
-        if self.store is not None:
-            key = self.store.key_for(task.stage, **key_fields(task))
-            cached = self.store.get(key, _MISS)
-            if cached is not _MISS:
-                self._memo[task.id] = cached
-            return cached
-        return _MISS
+    def _resolve(self, *tasks: Task) -> Any:
+        """Resolve the last of *tasks*, which hold its whole closure.
 
-    def _materialize(self, task: Task, probed_miss: bool = False) -> Any:
-        """Memo → store → compute-inline resolution for one node.
-
-        Mirrors the cache discipline of the scheduler's submit loop
-        (``scheduler._run_submitting`` driving the inline backend);
-        both must agree on key recipe and hit/miss accounting.
-        *probed_miss* skips the store lookup when the caller already
-        observed (and counted) the miss.
+        A memo hit returns at once.  Otherwise the graph goes through
+        :func:`run_graph` inline with the memo preloaded — the same
+        probe pass and harvest that serve :meth:`warm`, so a cached
+        terminal costs one load and a cached intermediate cuts off
+        everything upstream of it.  Whatever the run loaded or computed
+        joins the memo.
         """
-        if task.id in self._memo:
-            return self._memo[task.id]
-        if not probed_miss:
-            value = self._probe(task)
-            if value is not _MISS:
-                return value
-        deps = {dep: self._memo[dep] for dep in task.deps} if task.deps \
-            else {}
-        started = time.perf_counter()
-        value = self.runner(task, deps)
-        elapsed = time.perf_counter() - started
-        if self.store is not None:
-            self.store.put(self.store.key_for(task.stage, **key_fields(task)),
-                           value, stage=task.stage, seconds=elapsed)
-        if self.on_timing is not None:
-            self.on_timing(task.stage, elapsed)
-        if self.metrics is not None:
-            self.metrics.count("engine_stages_executed", tag=task.stage,
-                               label="stage")
-            workload = task.payload.get("workload")
-            if workload:
-                self.metrics.count("engine_workload_stages", tag=workload,
-                                   label="workload")
-            self.metrics.observe_latency("engine_dispatch_seconds", elapsed,
-                                         tags={"stage": task.stage})
-        if self.tracer is not None:
-            self.tracer.add_span(task.id, task.stage,
-                                 started - self.tracer.epoch_perf, elapsed,
-                                 {"outcome": "executed"})
-        self._memo[task.id] = value
-        return value
+        terminal = tasks[-1].id
+        if terminal not in self._memo:
+            self._run({task.id: task for task in tasks}, backend="inline")
+        return self._memo[terminal]
 
-    def _chain(self, *chain: Task) -> Any:
-        """Materialize a linear dependency chain, deepest-cached first.
-
-        Keys are computable before execution (see tasks.key_fields), so
-        probing walks backward from the terminal: a cached terminal
-        costs one load, and any cached intermediate cuts off everything
-        upstream of it — nothing is recompiled just to feed a stage the
-        store can already serve.
-        """
-        probed_missed: set[str] = set()
-        start = 0
-        for i in range(len(chain) - 1, -1, -1):
-            value = self._probe(chain[i])
-            if value is not _MISS:
-                if i == len(chain) - 1:
-                    return value
-                start = i + 1
-                break
-            probed_missed.add(chain[i].id)
-        for task in chain[start:]:
-            self._materialize(task, probed_miss=task.id in probed_missed)
-        return self._memo[chain[-1].id]
+    def _run(self, graph: dict[str, Task], workers: int = 1,
+             backend=None) -> None:
+        results = run_graph(graph, workers=workers, store=self.store,
+                            preloaded=self._memo, runner=self.runner,
+                            backend=backend, on_timing=self.on_timing,
+                            metrics=self.metrics, tracer=self.tracer)
+        for task_id, value in results.items():
+            self._memo.setdefault(task_id, value)
 
     # -- pipeline steps (the old ExperimentRunner surface) -----------------
 
@@ -197,7 +144,7 @@ class Engine:
 
     def original_trace(self, workload: str, input_name: str,
                        isa: str = REF_ISA, opt_level: int = REF_OPT):
-        return self._chain(
+        return self._resolve(
             _tasks.compile_task(workload, input_name, isa, opt_level),
             _tasks.run_task(workload, input_name, isa, opt_level),
         )
@@ -210,10 +157,10 @@ class Engine:
         ]
 
     def profile(self, workload: str, input_name: str):
-        return self._chain(*self._reference_chain(workload, input_name))
+        return self._resolve(*self._reference_chain(workload, input_name))
 
     def clone(self, workload: str, input_name: str):
-        return self._chain(
+        return self._resolve(
             *self._reference_chain(workload, input_name),
             _tasks.synthesize_task(workload, input_name,
                                    self.target_instructions),
@@ -221,7 +168,7 @@ class Engine:
 
     def synthetic_trace(self, workload: str, input_name: str,
                         isa: str = REF_ISA, opt_level: int = REF_OPT):
-        return self._chain(
+        return self._resolve(
             *self._reference_chain(workload, input_name),
             _tasks.synthesize_task(workload, input_name,
                                    self.target_instructions),
@@ -244,7 +191,7 @@ class Engine:
         """
         isa = machine_spec.isa
         if side == "syn":
-            return self._chain(
+            return self._resolve(
                 *self._reference_chain(workload, input_name),
                 _tasks.synthesize_task(workload, input_name,
                                        self.target_instructions),
@@ -258,7 +205,7 @@ class Engine:
                                    target_instructions=
                                    self.target_instructions),
             )
-        return self._chain(
+        return self._resolve(
             _tasks.compile_task(workload, input_name, isa, opt_level),
             _tasks.run_task(workload, input_name, isa, opt_level),
             _tasks.replay_task(workload, input_name, opt_level,
@@ -271,27 +218,29 @@ class Engine:
         *specs* at every level of *levels* (Fig. 11's synthetic side).
 
         Returns ``{(isa, level): {spec.fingerprint(): TimingResult}}``.
-        Each (ISA, level) is one content-addressed node, probed first:
-        a warm call loads no profile, trace or binary.  Only a miss
-        resolves the members' profiles and builds, runs and times the
-        clone — counted as one miss.
+        Each (ISA, level) is one content-addressed node whose deps are
+        the members' profiles: a warm call loads only those nodes — no
+        profile, trace or binary.  Only a miss resolves the members'
+        profiles and builds, runs and times the clone — counted as one
+        miss.
         """
         members = tuple(members)
         by_isa: dict[str, list] = {}
         for spec in specs:
             by_isa.setdefault(spec.isa, []).append(spec)
-        timings = {}
+        graph = {task.id: task for workload, input_name in members
+                 for task in self._reference_chain(workload, input_name)}
+        terminals = {}
         for isa, isa_specs in sorted(by_isa.items()):
             for level in levels:
                 task = _tasks.consolidated_timing_task(
                     members, level, target_instructions, isa_specs)
-                value = self._probe(task)
-                if value is _MISS:
-                    for workload, input_name in members:
-                        self.profile(workload, input_name)
-                    value = self._materialize(task, probed_miss=True)
-                timings[(isa, level)] = value
-        return timings
+                graph[task.id] = task
+                terminals[(isa, level)] = task.id
+        if any(task_id not in self._memo for task_id in terminals.values()):
+            self._run(graph, backend="inline")
+        return {coord: self._memo[task_id]
+                for coord, task_id in terminals.items()}
 
     # -- bulk execution ----------------------------------------------------
 
@@ -325,13 +274,7 @@ class Engine:
             sides=sides,
             machine_points=tuple(machine_points),
         )
-        if any(task_id not in self._memo for task_id in graph):
-            results = run_graph(graph, workers=workers or self.workers,
-                                store=self.store, preloaded=self._memo,
-                                runner=self.runner,
-                                backend=backend or self.backend,
-                                on_timing=self.on_timing,
-                                metrics=self.metrics, tracer=self.tracer)
-            for task_id, value in results.items():
-                self._memo.setdefault(task_id, value)
+        if any(task_id not in self._memo for task_id in sinks(graph)):
+            self._run(graph, workers=workers or self.workers,
+                      backend=backend or self.backend)
         return len(graph)

@@ -1,26 +1,28 @@
 """repro.engine.backends — pluggable execution backends.
 
 The scheduler delegates *where* stages run to an
-:class:`ExecutionBackend`; five ship in-tree:
+:class:`ExecutionBackend`; four ship in-tree:
 
 ========= ============================================================
 name      execution model
 ========= ============================================================
 inline    synchronous, deterministic sorted-ready order (workers=1)
-thread    thread pool — warm-replay / I/O-bound graphs, no pickling
 process   multiprocessing pool, worker-side persistence (historical
           ``workers>1`` behavior)
 shard     dependency-closed shards in isolated
           ``python -m repro.engine.shard`` subprocesses, each with a
           private store, merged via export_keys/import_keys
 auto      cost-aware composite: per-stage compute estimates
-          (``tasks.STAGE_COSTS``) vs pool ``dispatch_cost`` route
-          cheap replays to threads, heavy compiles to processes
+          (``tasks.STAGE_COSTS``) vs process-pool ``dispatch_cost``
+          route cheap replays to its own thread pool, heavy compiles
+          to processes
 ========= ============================================================
 
 Select with ``--backend NAME`` on the CLIs, the ``REPRO_BACKEND``
 environment variable, or ``Engine(backend=...)``; third-party backends
 subclass :class:`ExecutionBackend` and call :func:`register_backend`.
+Backends only ever see the nodes the scheduler's probe pass left
+pending — cache hits and memo entries are resolved before dispatch.
 """
 
 from repro.engine.backends.base import (
@@ -36,7 +38,6 @@ from repro.engine.backends.base import (
 from repro.engine.backends.local import (
     InlineBackend,
     ProcessPoolBackend,
-    ThreadBackend,
 )
 from repro.engine.backends.auto import AutoBackend
 from repro.engine.backends.shard import (
@@ -55,7 +56,6 @@ __all__ = [
     "ProcessPoolBackend",
     "ShardError",
     "SubprocessShardBackend",
-    "ThreadBackend",
     "backend_names",
     "balance_shards",
     "default_backend_name",

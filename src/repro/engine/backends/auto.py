@@ -49,7 +49,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
 
 from repro.engine.backends.base import ExecutionBackend, register_backend
-from repro.engine.backends.local import ProcessPoolBackend, ThreadBackend
+from repro.engine.backends.local import ProcessPoolBackend
 from repro.engine.tasks import Task, stage_cost
 
 
@@ -59,9 +59,9 @@ class AutoBackend(ExecutionBackend):
 
     name = "auto"
     # Dispatch overhead of the composite is whichever pool a task lands
-    # on; advertise the cheap side (routing already accounts for the
-    # expensive one).
-    dispatch_cost = ThreadBackend.dispatch_cost
+    # on; advertise the cheap side, a thread handoff (routing already
+    # accounts for the expensive one).
+    dispatch_cost = 0.05
 
     #: A stage at least this expensive amortizes process-pool dispatch.
     heavy_cost: float = ProcessPoolBackend.dispatch_cost

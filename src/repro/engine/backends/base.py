@@ -1,11 +1,14 @@
 """The :class:`ExecutionBackend` contract and the backend registry.
 
-A backend owns *how* task stages execute — in-process, on a thread or
-process pool, or in isolated shard subprocesses — while the scheduler
+A backend owns *how* task stages execute — in-process, on a process
+pool, or in isolated shard subprocesses — while the scheduler
 (:func:`repro.engine.scheduler.run_graph`) keeps owning *what* runs:
 topological ordering, cache probing, dependency resolution, and store
-accounting.  The split is the seam remote/distributed execution plugs
-into: a new backend only has to honor this module's contract.
+accounting.  The scheduler's single probe pass resolves every memo
+entry and cache hit first, so a backend only ever receives the pending
+nodes — the misses a run actually has to execute.  The split is the
+seam remote/distributed execution plugs into: a new backend only has
+to honor this module's contract.
 
 Contract
 --------
@@ -29,8 +32,8 @@ Capability flags refine how the scheduler drives a backend:
   ``submit`` is never called.
 
 ``dispatch_cost`` is the contract's scheduling hint: the relative
-per-task overhead of handing work to this backend (thread handoff ≪
-pickling to a process pool ≪ spawning a shard subprocess), on a scale
+per-task overhead of handing work to this backend (a synchronous call
+≪ pickling to a process pool ≪ spawning a shard subprocess), on a scale
 where process-pool dispatch is 1.0.  Cost-aware composites — the
 ``auto`` backend — compare it against the scheduler's per-stage cost
 table (:data:`repro.engine.tasks.STAGE_COSTS`) so a stage cheaper than
@@ -143,10 +146,13 @@ class ExecutionBackend(ABC):
                       context: ExecutionContext) -> dict[str, Any]:
         """Whole-graph capability hook (``whole_graph`` backends only).
 
-        *pending* lists the tasks the scheduler could not resolve from
-        the memo or store, in deterministic topological order;
-        *resolved* maps every already-resolved task id to its value.
-        Returns ``{task_id: result}`` for every pending task.
+        *pending* lists the tasks the scheduler's probe pass could not
+        resolve from the memo or store, in deterministic topological
+        order; every dep of a pending task is either pending itself or
+        in *resolved*, which maps the task ids the probe pass resolved
+        to their values (nodes no pending task needs are absent: their
+        payloads are never loaded).  Returns ``{task_id: result}`` for
+        every pending task.
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not execute whole graphs"

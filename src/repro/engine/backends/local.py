@@ -1,13 +1,9 @@
-"""Single-host backends: inline, thread pool, process pool.
+"""Single-host backends: inline and process pool.
 
 * :class:`InlineBackend` — runs every stage synchronously in the
   scheduler's own process, in the deterministic sorted-ready order
   (``workers=1`` semantics).  The baseline every other backend's
   results are conformance-tested against.
-* :class:`ThreadBackend` — a thread pool for I/O-bound or warm-replay
-  graphs where pickling dependency results to worker processes would
-  dominate; stages share the parent's memory, the scheduler persists
-  results from the main thread.
 * :class:`ProcessPoolBackend` — the historical multiprocessing fan-out,
   now an implementation detail behind the backend interface.  Workers
   receive dependency results by pickle and persist what they compute
@@ -19,7 +15,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any
 
 from repro.engine.backends.base import (
@@ -46,28 +42,6 @@ class InlineBackend(ExecutionBackend):
         except BaseException as exc:  # propagate via Future.result()
             future.set_exception(exc)
         return future
-
-
-@register_backend
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool fan-out; stages share the parent's address space."""
-
-    name = "thread"
-    dispatch_cost = 0.05
-
-    def __init__(self, workers: int = 1) -> None:
-        super().__init__(workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def submit(self, task: Task, deps: dict[str, Any]) -> Future:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool.submit(self.context.runner, task, deps)
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 def _execute_and_persist(task: Task, deps: dict[str, Any], store_spec,

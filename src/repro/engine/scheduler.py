@@ -1,32 +1,37 @@
 """Topological DAG scheduler over pluggable execution backends.
 
-:func:`run_graph` executes a ``{task_id: Task}`` graph in dependency
-order.  The scheduler owns ordering, cache probing, dependency
+:func:`run_graph` resolves a ``{task_id: Task}`` graph: every lookup in
+the engine — a whole experiment grid or one figure's chain — goes
+through it.  The scheduler owns ordering, cache probing, dependency
 resolution, and store accounting; *where* stages run belongs to an
 :class:`~repro.engine.backends.ExecutionBackend` (``inline``,
-``thread``, ``process``, ``shard``, or anything registered by a third
+``process``, ``shard``, ``auto``, or anything registered by a third
 party).  ``workers=1`` with no explicit backend resolves to the inline
 backend and stays byte-for-byte deterministic (Kahn + sorted-ready
 order); ``workers>1`` defaults to the process pool, the historical
 fan-out, unless ``REPRO_BACKEND`` or the ``backend`` argument says
 otherwise.  The scheduler's per-stage cost table lives in
 :data:`repro.engine.tasks.STAGE_COSTS`; cost-aware backends (``auto``)
-compare it against each pool's ``dispatch_cost`` to route cheap warm
+compare it against each pool's ``dispatch_cost`` to route cheap
 replays to threads and heavy compiles to processes.
 
-Cache discipline: the parent consults the store once per node before
-dispatch (a hit skips execution entirely and counts toward
-``store.stats.hits``; a miss counts toward ``misses``).  Backends that
-persist results themselves (``persists=True`` — the process pool and
-shard backends) write through their own store handles and the parent
-only accounts for the put, so a warm run reports zero misses and
-performs zero compiles/runs no matter the backend.
+Cache discipline: one probe pass walks the graph backwards from its
+sinks before anything is dispatched.  A needed node is taken from the
+caller's memo (``preloaded``) or probed once in the store: a hit
+resolves it and leaves its dependencies unread, a miss (counted toward
+``store.stats.misses``) makes it pending and its dependencies needed.
+Lookups are therefore lazy — a hit whose dependents are all hits never
+loads its payload — and only the pending nodes reach the backend.
+Backends that persist results themselves (``persists=True`` — the
+process pool and shard backends) write through their own store handles
+and the parent only accounts for the put, so a warm run reports zero
+misses and performs zero compiles/runs no matter the backend.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Mapping
 
 from repro.engine.backends import resolve_backend
 from repro.engine.backends.base import ExecutionContext
@@ -71,50 +76,11 @@ def topological_order(graph: dict[str, Task]) -> list[Task]:
     return order
 
 
-def _lookup(store: ArtifactStore | None, task: Task, keyer):
-    if store is None:
-        return None, _MISS
-    key = store.key_for(task.stage, **keyer(task))
-    return key, store.get(key, _MISS)
-
-
-def _run_whole_graph(graph, order, results, store, backend, context):
-    """Drive a ``whole_graph`` backend: probe the cache for every node
-    up front (deterministic order, parent-side counters), hand the
-    unresolved remainder to the backend in one call."""
-    metrics, tracer = context.metrics, context.tracer
-    pending: list[Task] = []
-    for task in order:
-        if task.id in results:
-            continue
-        _, cached = _lookup(store, task, context.keyer)
-        if cached is not _MISS:
-            results[task.id] = cached
-            if metrics is not None:
-                metrics.count("engine_cache", tag="hit", label="outcome")
-            if tracer is not None:
-                tracer.add_span(task.id, task.stage, tracer.now(), 0.0,
-                                {"outcome": "hit"})
-            continue
-        if metrics is not None and store is not None:
-            metrics.count("engine_cache", tag="miss", label="outcome")
-        pending.append(task)
-    if pending:
-        backend.start(context)
-        try:
-            results.update(
-                backend.execute_graph(graph, pending, dict(results), context)
-            )
-        finally:
-            backend.shutdown()
-    return results
-
-
 def run_graph(
     graph: dict[str, Task],
     workers: int = 1,
     store: ArtifactStore | None = None,
-    preloaded: dict[str, Any] | None = None,
+    preloaded: Mapping[str, Any] | None = None,
     runner=run_stage,
     keyer=key_fields,
     backend=None,
@@ -123,17 +89,20 @@ def run_graph(
     metrics=None,
     tracer=None,
 ) -> dict[str, Any]:
-    """Execute *graph*; returns ``{task_id: result}`` for every node.
+    """Resolve *graph*; returns ``{task_id: result}`` for every sink,
+    plus every node the run loaded from the store or computed.
 
     Nodes whose ids appear in *preloaded* are taken as already resolved
-    (no store lookup, no execution) — the engine seeds these from its
-    in-process memo.  *runner* and *keyer* default to the experiment
-    pipeline's stage executor and content-address recipe; tests (or
-    future non-pipeline graphs) may substitute any picklable pair.
+    (no store lookup, no execution) — the engine passes its in-process
+    memo here.  The mapping is read by id and never iterated, so its
+    size costs nothing and other threads may add to it meanwhile.
+    *runner* and *keyer* default to the experiment pipeline's stage
+    executor and content-address recipe; tests (or future non-pipeline
+    graphs) may substitute any picklable pair.
 
     *backend* selects where stages run: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, a
-    registered name (``inline``/``thread``/``process``/``shard``), or
+    registered name (``inline``/``process``/``shard``/``auto``), or
     ``None`` for the default (``$REPRO_BACKEND``, else inline when
     ``workers <= 1``, else the process pool).
 
@@ -147,25 +116,22 @@ def run_graph(
     *stop* — ``callable() -> bool`` — polled before each dispatch; once
     true the scheduler submits nothing further, drains what is already
     in flight (persisting the results), and returns the partial result
-    map.  This is the graceful-drain hook SIGTERM handling is built on.
+    map, in which some sinks are missing.  This is the graceful-drain
+    hook SIGTERM handling is built on.
 
     *metrics* — a :class:`repro.obs.MetricsRegistry` — collects cache
     probe outcomes, executed-stage counts, store-op deltas, and
     (volatile) ready-queue depth and dispatch latency.  *tracer* — a
-    :class:`repro.obs.Tracer` — records one span per graph node
-    (category = stage, cache outcome in ``args``) plus a root
+    :class:`repro.obs.Tracer` — records one span per probed or executed
+    node (category = stage, cache outcome in ``args``) plus a root
     ``run_graph`` span; shard workers report their own spans, which the
     backend remaps onto this tracer's timeline.  The store-op and
     cache-probe accounting is parent-side and therefore identical
     across backends for the same graph and store state.
     """
     order = topological_order(graph)
-    results: dict[str, Any] = {
-        task_id: value for task_id, value in (preloaded or {}).items()
-        if task_id in graph
-    }
     if not graph:
-        return results
+        return {}
     if backend is None and len(graph) <= 1:
         # Nothing to fan out; don't pay pool startup for one node.  An
         # explicit backend choice is honored even here.
@@ -185,12 +151,18 @@ def run_graph(
     root_start = tracer.now() if tracer is not None else 0.0
 
     try:
-        if backend.whole_graph:
-            results = _run_whole_graph(graph, order, results, store, backend,
-                                       context)
-        else:
-            results = _run_submitting(graph, results, store, backend, context,
-                                      on_timing=on_timing, stop=stop)
+        results, pending, keys = _probe(graph, order, preloaded or {},
+                                        store, context)
+        if pending and backend.whole_graph:
+            backend.start(context)
+            try:
+                results.update(backend.execute_graph(graph, pending,
+                                                     dict(results), context))
+            finally:
+                backend.shutdown()
+        elif pending:
+            _run_submitting(pending, keys, results, store, backend, context,
+                            on_timing=on_timing, stop=stop)
         if (store is not None and backend.persists
                 and store.max_bytes is not None):
             # Workers write uncapped (see backends.local/shard); settle
@@ -210,30 +182,71 @@ def run_graph(
     return results
 
 
-def _run_submitting(graph, results, store, backend, context,
-                    on_timing=None, stop=None):
-    """The generic submit/wait loop shared by all per-task backends."""
-    keyer = context.keyer
+def sinks(graph: dict[str, Task]) -> list[str]:
+    """Ids of the nodes no other node of *graph* depends on, sorted."""
+    deps = {dep for task in graph.values() for dep in task.deps}
+    return sorted(task_id for task_id in graph if task_id not in deps)
+
+
+def _probe(graph: dict[str, Task], order: list[Task], preloaded,
+           store: ArtifactStore | None, context: ExecutionContext):
+    """The one probe pass: resolve what a run needs, sinks first.
+
+    Walks *order* backwards from the sinks.  A needed node is taken from
+    *preloaded* (read by id, never iterated), else probed in *store*: a
+    hit resolves it and leaves its deps unread, a miss makes it pending
+    and its deps needed.  Returns ``(results, pending, keys)`` —
+    resolved values, the pending tasks in topological order, and their
+    store keys.  Hit/miss metrics and hit spans are recorded here.
+    """
     metrics, tracer = context.metrics, context.tracer
-    indegree = {task.id: len(task.deps) for task in graph.values()}
+    needed = set(sinks(graph))
+    results: dict[str, Any] = {}
+    pending: list[Task] = []
+    keys: dict[str, str] = {}
+    for task in reversed(order):
+        if task.id not in needed:
+            continue
+        value = preloaded.get(task.id, _MISS)
+        if value is _MISS and store is not None:
+            keys[task.id] = store.key_for(task.stage, **context.keyer(task))
+            value = store.get(keys[task.id], _MISS)
+            if metrics is not None:
+                metrics.count("engine_cache", label="outcome",
+                              tag="miss" if value is _MISS else "hit")
+            if tracer is not None and value is not _MISS:
+                tracer.add_span(task.id, task.stage, tracer.now(), 0.0,
+                                {"outcome": "hit"})
+        if value is _MISS:
+            pending.append(task)
+            needed.update(task.deps)
+        else:
+            results[task.id] = value
+    pending.reverse()
+    return results, pending, keys
+
+
+def _run_submitting(pending_tasks, keys, results, store, backend, context,
+                    on_timing=None, stop=None):
+    """The generic submit/wait loop shared by all per-task backends:
+    executes *pending_tasks*, whose deps are in *results* or pending."""
+    metrics, tracer = context.metrics, context.tracer
+    graph = {task.id: task for task in pending_tasks}
+    indegree = {task.id: 0 for task in pending_tasks}
     dependents: dict[str, list[str]] = {task_id: [] for task_id in graph}
-    for task in graph.values():
+    for task in pending_tasks:
         for dep in task.deps:
-            dependents[dep].append(task.id)
+            if dep in graph:
+                dependents[dep].append(task.id)
+                indegree[task.id] += 1
 
     ready = sorted(task_id for task_id, deg in indegree.items() if deg == 0)
-    pending: dict = {}
-
-    def resolve(task_id: str, value: Any) -> None:
-        results[task_id] = value
-        for child in dependents[task_id]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready.append(child)
+    in_flight: dict = {}
 
     def harvest(done) -> None:
         for future in done:
-            task_id, key, submitted_at = pending.pop(future)
+            task_id, submitted_at = in_flight.pop(future)
+            task = graph[task_id]
             value = future.result()
             elapsed = time.perf_counter() - submitted_at
             if store is not None:
@@ -242,59 +255,39 @@ def _run_submitting(graph, results, store, backend, context,
                     # it here so the parent's counters cover the run.
                     store.stats.puts += 1
                 else:
-                    store.put(key, value, stage=graph[task_id].stage,
+                    store.put(keys[task_id], value, stage=task.stage,
                               seconds=elapsed)
             if on_timing is not None:
-                on_timing(graph[task_id].stage, elapsed)
+                on_timing(task.stage, elapsed)
             if metrics is not None:
-                stage = graph[task_id].stage
-                metrics.count("engine_stages_executed", tag=stage,
+                metrics.count("engine_stages_executed", tag=task.stage,
                               label="stage")
-                workload = graph[task_id].payload.get("workload")
+                workload = task.payload.get("workload")
                 if workload:
                     metrics.count("engine_workload_stages", tag=workload,
                                   label="workload")
                 metrics.observe_latency("engine_dispatch_seconds", elapsed,
-                                        tags={"stage": stage})
+                                        tags={"stage": task.stage})
             if tracer is not None:
-                tracer.add_span(task_id, graph[task_id].stage,
+                tracer.add_span(task_id, task.stage,
                                 submitted_at - tracer.epoch_perf, elapsed,
                                 {"outcome": "executed"})
-            resolve(task_id, value)
+            results[task_id] = value
+            for child in dependents[task_id]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
         ready.sort()
 
     backend.start(context)
     try:
-        while ready or pending:
-            # Drain the ready list: preloaded nodes and cache hits
-            # resolve immediately (and may ready further nodes), misses
-            # go to the backend.
+        while ready or in_flight:
             while ready:
                 if stop is not None and stop():
-                    # Draining: dispatch nothing further — not even
-                    # free cache hits, whose resolution would only
-                    # ready more work we are about to abandon.
+                    # Draining: dispatch nothing further.
                     ready.clear()
                     break
-                task_id = ready.pop(0)
-                task = graph[task_id]
-                if task_id in results:
-                    resolve(task_id, results[task_id])
-                    ready.sort()
-                    continue
-                key, cached = _lookup(store, task, keyer)
-                if cached is not _MISS:
-                    if metrics is not None:
-                        metrics.count("engine_cache", tag="hit",
-                                      label="outcome")
-                    if tracer is not None:
-                        tracer.add_span(task_id, task.stage, tracer.now(),
-                                        0.0, {"outcome": "hit"})
-                    resolve(task_id, cached)
-                    ready.sort()
-                    continue
-                if metrics is not None and store is not None:
-                    metrics.count("engine_cache", tag="miss", label="outcome")
+                task = graph[ready.pop(0)]
                 deps = {dep: results[dep] for dep in task.deps}
                 if metrics is not None:
                     # Queue depth at dispatch (this task included);
@@ -305,14 +298,13 @@ def _run_submitting(graph, results, store, backend, context,
                 # (inline) do the work inside the call itself.
                 submitted_at = time.perf_counter()
                 future = backend.submit(task, deps)
-                pending[future] = (task_id, key, submitted_at)
+                in_flight[future] = (task.id, submitted_at)
                 if future.done():
                     # Synchronous backends complete in submit; harvest
                     # now so execution keeps the sorted-ready order.
                     harvest((future,))
-            if not pending:
+            if not in_flight:
                 break
-            harvest(backend.wait(pending))
+            harvest(backend.wait(in_flight))
     finally:
         backend.shutdown()
-    return results

@@ -41,7 +41,7 @@ def run_shard(spec: dict, stop=None) -> dict:
     the shard stops submitting, persists and exports what it computed,
     and reports ``"drained": True``.
     """
-    from repro.engine.scheduler import run_graph
+    from repro.engine.scheduler import run_graph, sinks
 
     graph = spec["graph"]
     preloaded = spec.get("preloaded") or {}
@@ -112,8 +112,12 @@ def run_shard(spec: dict, stop=None) -> dict:
             for task_id in sorted(computed)
         ]
         exported = store.export_keys(keys, export_dir)
-    drained = bool(stop is not None and stop() and
-                   len(computed) + len(preloaded) < len(graph))
+    # run_graph returns every sink of a completed run (and only the
+    # nodes it needed besides), so a missing sink is exactly a drain
+    # that left pending tasks unexecuted.
+    unexecuted = [task_id for task_id in sinks(graph)
+                  if task_id not in results]
+    drained = bool(stop is not None and stop() and unexecuted)
     payload = {"results": computed, "exported": exported,
                "export_dir": export_dir, "drained": drained}
     if registry is not None:

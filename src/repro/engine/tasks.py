@@ -42,7 +42,7 @@ them — so a warm Fig. 11 costs one small read per (ISA, level).
 :data:`STAGE_COSTS` is the scheduler's per-stage cost table: a relative
 estimate of each stage's compute weight, which cost-aware backends (the
 ``auto`` composite) compare against a pool's ``dispatch_cost`` to route
-cheap warm replays to threads and heavy compiles to processes.
+cheap replays to threads and heavy compiles to processes.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ through the same seam that already merges store stats.  Metrics whose
 values depend on wall-clock timing or dispatch interleaving (latency
 measurers, queue-depth histograms) are flagged ``volatile``; dropping
 them from a snapshot leaves exactly the backend-invariant part, which
-the conformance suite asserts is identical across all five backends.
+the conformance suite asserts is identical across all four backends.
 
 :func:`MetricsRegistry.render_prometheus` emits the text exposition
 format served by the daemon's ``/v1/metrics`` endpoint.

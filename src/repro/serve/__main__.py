@@ -26,10 +26,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="0 picks a free port (printed on startup)")
     run.add_argument("--workers", type=int, default=2,
                      help="engine workers per job graph")
-    run.add_argument("--backend", default="thread",
-                     help="execution backend (inline/thread/process/"
-                          "shard/auto); in-process backends coalesce "
-                          "at node granularity")
+    run.add_argument("--backend", default="inline",
+                     help="execution backend (inline/process/shard/"
+                          "auto); in-process backends coalesce at node "
+                          "granularity")
     run.add_argument("--cache-dir", default=None,
                      help="artifact store root (default: REPRO_CACHE_DIR)")
     run.add_argument("--db", default=None, dest="db_path",

@@ -17,7 +17,7 @@ Two layers, both content-addressed:
   across different job kinds.
 
 The node layer lives in the daemon's address space, so it covers the
-in-process backends the daemon runs (``inline``/``thread``/``auto``'s
+in-process backends the daemon runs (``inline`` and ``auto``'s
 thread side).  Stages a backend ships to worker processes fall back to
 the store's last-write-wins atomicity — still correct, at worst
 duplicated effort.

@@ -78,7 +78,7 @@ class ServeApp:
         cache_dir=None,
         db_path=None,
         workers: int = 2,
-        backend: str | None = "thread",
+        backend: str | None = "inline",
         quota_rate: float | None = None,
         quota_burst: float | None = None,
         max_inflight: int = 4,

@@ -19,7 +19,6 @@ from repro.engine.backends import (
     InlineBackend,
     ProcessPoolBackend,
     SubprocessShardBackend,
-    ThreadBackend,
     backend_names,
     balance_shards,
     default_backend_name,
@@ -37,7 +36,7 @@ from repro.engine.tasks import (
     stage_cost,
 )
 
-BACKENDS = ("inline", "thread", "process", "shard", "auto")
+BACKENDS = ("inline", "process", "shard", "auto")
 
 
 def _graph(*tasks: Task) -> dict[str, Task]:
@@ -109,8 +108,10 @@ class TestConformance:
         warm = run_graph(DIAMOND, workers=2, store=store,
                          runner=arith_runner, keyer=arith_keyer,
                          backend=backend)
-        assert warm == cold
-        assert store.stats.hits == 4 and store.stats.misses == 0
+        # Lazy from the sinks: only the warm sink is loaded.
+        assert cold == DIAMOND_EXPECTED
+        assert warm == {"bottom": 1112}
+        assert store.stats.hits == 1 and store.stats.misses == 0
         assert store.stats.puts == 0
 
     def test_preloaded_nodes_not_recomputed(self, backend):
@@ -151,8 +152,8 @@ class TestIdenticalArtifacts:
             results = run_graph(DIAMOND, workers=2, store=store,
                                 runner=arith_runner, keyer=arith_keyer,
                                 backend=backend)
-            assert results == DIAMOND_EXPECTED
-            assert store.stats.misses == 0 and store.stats.hits == 4
+            assert results == {"bottom": 1112}
+            assert store.stats.misses == 0 and store.stats.hits == 1
 
 
 class TestMetricsParity:
@@ -198,13 +199,13 @@ class TestMetricsParity:
             snapshots[backend] = registry.snapshot(include_volatile=False)
         baseline = snapshots["inline"]
         entries = {e["name"]: e for e in baseline["metrics"]}
-        assert entries["engine_cache"]["data"]["values"] == \
-            {"hit": len(COMPONENTS)}
+        # One hit per sink: a1, b1, c0; a0 and b0 are never loaded.
+        assert entries["engine_cache"]["data"]["values"] == {"hit": 3}
         for backend in BACKENDS:
             assert snapshots[backend] == baseline, backend
 
     def test_volatile_metrics_present_but_excluded(self, tmp_path):
-        registry = self._run("thread", tmp_path)
+        registry = self._run("auto", tmp_path)
         full = {e["name"] for e in registry.snapshot()["metrics"]}
         stable = {e["name"] for e in
                   registry.snapshot(include_volatile=False)["metrics"]}
@@ -228,16 +229,16 @@ class TestResolution:
                           ProcessPoolBackend)
 
     def test_env_var_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend(None, workers=4), ThreadBackend)
+        monkeypatch.setenv(BACKEND_ENV, "auto")
+        assert isinstance(resolve_backend(None, workers=4), AutoBackend)
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
+        monkeypatch.setenv(BACKEND_ENV, "auto")
         assert isinstance(resolve_backend("shard", workers=2),
                           SubprocessShardBackend)
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend(workers=3)
+        backend = AutoBackend(workers=3)
         assert resolve_backend(backend, workers=1) is backend
 
     def test_unknown_name_lists_available(self):
@@ -265,7 +266,7 @@ class TestResolution:
 
     def test_dispatch_costs_order_by_isolation(self):
         assert InlineBackend.dispatch_cost \
-            < ThreadBackend.dispatch_cost \
+            < AutoBackend.dispatch_cost \
             < ProcessPoolBackend.dispatch_cost \
             < SubprocessShardBackend.dispatch_cost
 
@@ -275,7 +276,7 @@ class TestResolution:
                 Task(id="t", stage="n"), {})
 
     def test_base_rejects_whole_graph_execution(self):
-        backend = ThreadBackend()
+        backend = ProcessPoolBackend()
         with pytest.raises(NotImplementedError):
             backend.execute_graph({}, [], {}, None)
 

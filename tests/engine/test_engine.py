@@ -89,6 +89,55 @@ class TestMemoAndStore:
                 "binary", "opt_stats"]
 
 
+class TestUnifiedAccounting:
+    """A lookup and a bulk warm() over the same chain are one resolver:
+    identical cache/stage metrics and hit spans, cold and warm."""
+
+    PAIR = ("crc32", "small")
+
+    @staticmethod
+    def _observe(root, resolve):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
+
+        engine = Engine(store=ArtifactStore(root=root),
+                        metrics=MetricsRegistry(), tracer=Tracer())
+        resolve(engine)
+        snapshot = engine.metrics.snapshot(include_volatile=False)
+        metrics = {entry["name"]: entry for entry in snapshot["metrics"]
+                   if entry["name"] in ("engine_cache",
+                                        "engine_stages_executed")}
+        spans = sorted((span["name"], span["args"]["outcome"])
+                       for span in engine.tracer.spans()
+                       if span.get("args", {}).get("outcome"))
+        return metrics, spans
+
+    @classmethod
+    def _lookup(cls, engine):
+        engine.original_trace(*cls.PAIR)
+
+    @classmethod
+    def _bulk(cls, engine):
+        engine.warm([cls.PAIR], ((REF_ISA, REF_OPT),), sides=("org",))
+
+    def test_lookup_matches_warm_cold_and_warm(self, tmp_path):
+        cold = [self._observe(tmp_path / "lookup", self._lookup),
+                self._observe(tmp_path / "bulk", self._bulk)]
+        assert cold[0] == cold[1]
+        metrics, spans = cold[0]
+        assert metrics["engine_cache"]["data"]["values"] == {"miss": 2}
+        assert [outcome for _, outcome in spans] == ["executed"] * 2
+
+        warm = [self._observe(tmp_path / "lookup", self._lookup),
+                self._observe(tmp_path / "bulk", self._bulk)]
+        assert warm[0] == warm[1]
+        metrics, spans = warm[0]
+        # One load of the terminal run; nothing executed.
+        assert set(metrics) == {"engine_cache"}
+        assert metrics["engine_cache"]["data"]["values"] == {"hit": 1}
+        assert [outcome for _, outcome in spans] == ["hit"]
+
+
 class TestEquivalence:
     def _fig04_artifacts(self, engine):
         """The figure table plus upstream artifacts in comparable form:

@@ -25,7 +25,7 @@ PAIR = ("crc32", "small")
 ISA = "x86"
 SPEC = spec_from_axes(isa=ISA, width=2, rob=64, l1_kb=8)
 
-BACKENDS = ("inline", "thread", "process", "shard", "auto")
+BACKENDS = ("inline", "process", "shard", "auto")
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,9 @@
 """Scheduler: topological ordering, diamond DAGs, pool fan-out, caching."""
 
+import sys
+import threading
+from collections.abc import Mapping
+
 import pytest
 
 from repro.engine.scheduler import GraphError, run_graph, topological_order
@@ -78,8 +82,107 @@ class TestInlineExecution:
         store.stats.reset()
         second = run_graph(DIAMOND, workers=1, store=store,
                            runner=arith_runner, keyer=arith_keyer)
-        assert second == first
-        assert store.stats.hits == 4 and store.stats.misses == 0
+        # Lazy from the sinks: the warm sink is the only load.
+        assert second == {"bottom": first["bottom"]} == {"bottom": 1112}
+        assert store.stats.hits == 1 and store.stats.misses == 0
+        assert store.stats.puts == 0
+
+
+class ProbeOnlyMapping(Mapping):
+    """A memo that may only be read by key, as the daemon's shared one
+    must be (other job threads insert into it mid-run)."""
+
+    def __init__(self, values: dict) -> None:
+        self._values = values
+
+    def __getitem__(self, key):
+        return self._values[key]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        raise AssertionError("preloaded must not be iterated")
+
+    def items(self):
+        raise AssertionError("preloaded must not be iterated")
+
+
+class TestLazyProbe:
+    def test_preloaded_is_read_by_id_only(self):
+        memo = ProbeOnlyMapping({"top": 5, "unrelated": object()})
+        results = run_graph(DIAMOND, workers=1, runner=arith_runner,
+                            keyer=arith_keyer, preloaded=memo)
+        assert results == {"top": 5, "left": 15, "right": 105,
+                           "bottom": 1120}
+
+    def test_other_threads_may_grow_preloaded_meanwhile(self):
+        """The serve daemon's job threads share one engine memo."""
+        memo = {f"filler{i:04d}": i for i in range(2000)}
+        done = threading.Event()
+        errors = []
+
+        def writer():
+            while not done.is_set():
+                for i in range(100):
+                    memo[f"churn{i:03d}"] = i
+                for i in range(100):
+                    del memo[f"churn{i:03d}"]
+
+        def reader():
+            try:
+                for _ in range(200):
+                    results = run_graph(DIAMOND, runner=arith_runner,
+                                        keyer=arith_keyer, preloaded=memo)
+                    assert results["bottom"] == 1112
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        churner = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            churner.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            churner.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [churner])
+        assert errors == []
+
+    def test_hit_leaves_its_deps_unread(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        run_graph(DIAMOND, workers=1, store=store, runner=arith_runner,
+                  keyer=arith_keyer)
+        bottom = store.key_for("n", **arith_keyer(DIAMOND["bottom"]))
+        store.path_for(bottom).unlink()
+        store.stats.reset()
+        executed = []
+
+        def runner(task, deps):
+            executed.append(task.id)
+            return arith_runner(task, deps)
+
+        results = run_graph(DIAMOND, workers=1, store=store, runner=runner,
+                            keyer=arith_keyer)
+        # The missing sink needs left and right; top stays unread.
+        assert executed == ["bottom"]
+        assert results == {"left": 11, "right": 101, "bottom": 1112}
+        assert store.stats.as_dict() == {
+            "hits": 2, "misses": 1, "puts": 1, "evictions": 0}
+
+    def test_preloaded_sink_needs_no_store(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        results = run_graph(DIAMOND, workers=1, store=store,
+                            runner=arith_runner, keyer=arith_keyer,
+                            preloaded={"bottom": 7})
+        assert results == {"bottom": 7}
+        assert store.stats.hits == store.stats.misses == 0
 
 
 class TestParallelExecution:
@@ -99,8 +202,8 @@ class TestParallelExecution:
         store.stats.reset()
         replay = run_graph(DIAMOND, workers=1, store=store,
                            runner=arith_runner, keyer=arith_keyer)
-        assert replay["bottom"] == 1112
-        assert store.stats.hits == 4 and store.stats.misses == 0
+        assert replay == {"bottom": 1112}
+        assert store.stats.hits == 1 and store.stats.misses == 0
 
     def test_wide_fanout(self):
         tasks = [Task(id="root", stage="n", payload={"value": 1})]

@@ -3,7 +3,7 @@
 The tentpole contract of the synthetic workload generator: a
 ``synth:`` pair is indistinguishable from a builtin pair to the
 engine — same 7-stage graph, byte-identical store artifacts on all
-five backends, recipe persisted to the store as a side effect, and
+four backends, recipe persisted to the store as a side effect, and
 per-workload metrics accounted identically everywhere.
 """
 
@@ -13,10 +13,10 @@ from repro.engine.api import Engine
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synth import SynthRecipe, stored_recipe
 
-BACKENDS = ("inline", "thread", "process", "shard", "auto")
+BACKENDS = ("inline", "process", "shard", "auto")
 
 #: Tiny on purpose: the properties under test are structural, not
-#: statistical — one small recipe keeps five cold pipelines fast.
+#: statistical — one small recipe keeps four cold pipelines fast.
 RECIPE = SynthRecipe(seed=5, mix="int", footprint=64, depth=1, trip=3,
                      entropy=20, calls=1)
 PAIR = (RECIPE.name, "small")
@@ -30,11 +30,11 @@ def _store_digests(store) -> dict[str, str]:
 
 
 class TestSynthAcrossBackends:
-    def test_identical_store_artifacts_on_all_five_backends(self, tmp_path):
+    def test_identical_store_artifacts_on_all_backends(self, tmp_path):
         """Every backend persists the same artifact set for a synth
         pair: identical content-address key sets everywhere, and
         byte-identical payloads on the backends that compute whole
-        dependency chains in one process (inline/thread/shard).  The
+        dependency chains in one process (inline/shard).  The
         process-pool backends rebuild stage inputs by unpickling, which
         perturbs object-identity sharing inside the payload pickles by
         a few memo refs (same for builtin workloads), so for those the
@@ -50,10 +50,9 @@ class TestSynthAcrossBackends:
         assert baseline  # the pipeline actually persisted artifacts
         for backend in BACKENDS:
             assert set(digests[backend]) == set(baseline), backend
-        for backend in ("thread", "shard"):
-            assert digests[backend] == baseline, backend
+        assert digests["shard"] == baseline
 
-    def test_identical_terminal_results_on_all_five_backends(self, tmp_path):
+    def test_identical_terminal_results_on_all_backends(self, tmp_path):
         traces = {}
         for backend in BACKENDS:
             engine = Engine(cache_dir=tmp_path / backend, workers=2,

@@ -98,6 +98,31 @@ class TestFig11:
         assert warm.original == cold.original
         assert warm.synthetic == cold.synthetic
 
+    def test_warm_run_loads_no_compile_or_run_artifact(self, filled,
+                                                       monkeypatch):
+        root, _ = filled
+        stage_of, read = {}, []
+        key_for, get = ArtifactStore.key_for, ArtifactStore.get
+
+        def recording_key_for(self, stage, **fields):
+            key = key_for(self, stage, **fields)
+            stage_of[key] = stage
+            return key
+
+        def recording_get(self, key, default=None):
+            read.append(stage_of[key])
+            return get(self, key, default)
+
+        monkeypatch.setattr(ArtifactStore, "key_for", recording_key_for)
+        monkeypatch.setattr(ArtifactStore, "get", recording_get)
+        runner = make_runner(root)
+        run_fig11(runner, PAIRS, MACHINE_SET, LEVELS)
+        assert runner.cache_stats.misses == 0
+        # Replays and the consolidated timings are read; the traces,
+        # binaries and profiles behind them stay on disk.
+        assert {"replay", "consolidated-timing"} <= set(read)
+        assert set(read).isdisjoint({"compile", "run", "profile"})
+
     def test_each_machine_scales_by_its_own_clock(self, filled):
         _, cold = filled
         for side in (cold.original, cold.synthetic):

@@ -60,9 +60,9 @@ class TestRun:
         assert {"engine_cache", "engine_stages_executed",
                 "engine_store_ops"} <= names
 
-    def test_backend_thread_matches_inline(self, capsys):
+    def test_backend_auto_matches_inline(self, capsys):
         assert main(["run", "--preset", "smoke", "--n", "1",
-                     "--backend", "thread", "--workers", "2"]) == 0
+                     "--backend", "auto", "--workers", "2"]) == 0
         assert "1 point(s) scored" in capsys.readouterr()[0]
 
     def test_sample_and_top_flags(self, capsys):

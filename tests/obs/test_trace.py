@@ -163,7 +163,7 @@ def _diamond():
 class TestGraphCoverage:
     """Acceptance: stage spans cover every graph node, per backend."""
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "shard"])
+    @pytest.mark.parametrize("backend", ["inline", "auto", "shard"])
     def test_spans_cover_all_nodes(self, backend, tmp_path):
         from repro.engine.scheduler import run_graph
         from repro.engine.store import ArtifactStore
@@ -192,4 +192,5 @@ class TestGraphCoverage:
                   keyer=graph_keyer, backend="inline", tracer=tracer)
         outcomes = {s["name"]: s.get("args", {}).get("outcome")
                     for s in tracer.spans() if s["cat"] != "scheduler"}
-        assert all(outcomes[node] == "hit" for node in graph)
+        # Lazy from the sinks: only the probed sink gets a span.
+        assert outcomes == {"bottom": "hit"}

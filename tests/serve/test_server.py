@@ -41,7 +41,7 @@ def make_app(tmp_path):
     def factory(**kwargs) -> ServeApp:
         kwargs.setdefault("log", lambda message: None)
         kwargs.setdefault("workers", 2)
-        kwargs.setdefault("backend", "thread")
+        kwargs.setdefault("backend", "inline")
         kwargs.setdefault("cache_dir", tmp_path / f"cache{len(created)}")
         kwargs.setdefault("db_path",
                           tmp_path / f"explore{len(created)}.sqlite3")
