@@ -31,6 +31,7 @@ from repro.engine.tasks import (
     REF_OPT,
     Task,
     build_pipeline_graph,
+    closure,
     run_stage,
 )
 
@@ -90,8 +91,8 @@ class Engine:
         """Store counters (zeros when caching is disabled)."""
         return self.store.stats if self.store is not None else StoreStats()
 
-    def _resolve(self, *tasks: Task) -> Any:
-        """Resolve the last of *tasks*, which hold its whole closure.
+    def _resolve(self, task: Task) -> Any:
+        """Resolve *task* through its :func:`closure`.
 
         A memo hit returns at once.  Otherwise the graph goes through
         :func:`run_graph` inline with the memo preloaded — the same
@@ -100,10 +101,9 @@ class Engine:
         everything upstream of it.  Whatever the run loaded or computed
         joins the memo.
         """
-        terminal = tasks[-1].id
-        if terminal not in self._memo:
-            self._run({task.id: task for task in tasks}, backend="inline")
-        return self._memo[terminal]
+        if task.id not in self._memo:
+            self._run(closure(task), backend="inline")
+        return self._memo[task.id]
 
     def _run(self, graph: dict[str, Task], workers: int = 1,
              backend=None) -> None:
@@ -145,38 +145,19 @@ class Engine:
     def original_trace(self, workload: str, input_name: str,
                        isa: str = REF_ISA, opt_level: int = REF_OPT):
         return self._resolve(
-            _tasks.compile_task(workload, input_name, isa, opt_level),
-            _tasks.run_task(workload, input_name, isa, opt_level),
-        )
-
-    def _reference_chain(self, workload: str, input_name: str) -> list[Task]:
-        return [
-            _tasks.compile_task(workload, input_name, REF_ISA, REF_OPT),
-            _tasks.run_task(workload, input_name, REF_ISA, REF_OPT),
-            _tasks.profile_task(workload, input_name),
-        ]
+            _tasks.run_task(workload, input_name, isa, opt_level))
 
     def profile(self, workload: str, input_name: str):
-        return self._resolve(*self._reference_chain(workload, input_name))
+        return self._resolve(_tasks.profile_task(workload, input_name))
 
     def clone(self, workload: str, input_name: str):
-        return self._resolve(
-            *self._reference_chain(workload, input_name),
-            _tasks.synthesize_task(workload, input_name,
-                                   self.target_instructions),
-        )
+        return self._resolve(_tasks.synthesize_task(
+            workload, input_name, self.target_instructions))
 
     def synthetic_trace(self, workload: str, input_name: str,
                         isa: str = REF_ISA, opt_level: int = REF_OPT):
-        return self._resolve(
-            *self._reference_chain(workload, input_name),
-            _tasks.synthesize_task(workload, input_name,
-                                   self.target_instructions),
-            _tasks.compile_clone_task(workload, input_name, isa, opt_level,
-                                      self.target_instructions),
-            _tasks.run_clone_task(workload, input_name, isa, opt_level,
-                                  self.target_instructions),
-        )
+        return self._resolve(_tasks.run_clone_task(
+            workload, input_name, isa, opt_level, self.target_instructions))
 
     def replay_timing(self, workload: str, input_name: str, machine_spec,
                       opt_level: int = REF_OPT, side: str = "org"):
@@ -189,28 +170,9 @@ class Engine:
         trace — scoring N machine points on a warm cache costs N small
         reads, zero decodes, zero simulations.
         """
-        isa = machine_spec.isa
-        if side == "syn":
-            return self._resolve(
-                *self._reference_chain(workload, input_name),
-                _tasks.synthesize_task(workload, input_name,
-                                       self.target_instructions),
-                _tasks.compile_clone_task(workload, input_name, isa,
-                                          opt_level,
-                                          self.target_instructions),
-                _tasks.run_clone_task(workload, input_name, isa, opt_level,
-                                      self.target_instructions),
-                _tasks.replay_task(workload, input_name, opt_level,
-                                   machine_spec, side="syn",
-                                   target_instructions=
-                                   self.target_instructions),
-            )
-        return self._resolve(
-            _tasks.compile_task(workload, input_name, isa, opt_level),
-            _tasks.run_task(workload, input_name, isa, opt_level),
-            _tasks.replay_task(workload, input_name, opt_level,
-                               machine_spec, side="org"),
-        )
+        return self._resolve(_tasks.replay_task(
+            workload, input_name, opt_level, machine_spec, side=side,
+            target_instructions=self.target_instructions))
 
     def consolidated_timings(self, members, specs, levels,
                              target_instructions: int) -> dict:
@@ -228,19 +190,15 @@ class Engine:
         by_isa: dict[str, list] = {}
         for spec in specs:
             by_isa.setdefault(spec.isa, []).append(spec)
-        graph = {task.id: task for workload, input_name in members
-                 for task in self._reference_chain(workload, input_name)}
-        terminals = {}
-        for isa, isa_specs in sorted(by_isa.items()):
-            for level in levels:
-                task = _tasks.consolidated_timing_task(
-                    members, level, target_instructions, isa_specs)
-                graph[task.id] = task
-                terminals[(isa, level)] = task.id
-        if any(task_id not in self._memo for task_id in terminals.values()):
-            self._run(graph, backend="inline")
-        return {coord: self._memo[task_id]
-                for coord, task_id in terminals.items()}
+        terminals = {
+            (isa, level): _tasks.consolidated_timing_task(
+                members, level, target_instructions, isa_specs)
+            for isa, isa_specs in sorted(by_isa.items()) for level in levels
+        }
+        if any(task.id not in self._memo for task in terminals.values()):
+            self._run(closure(*terminals.values()), backend="inline")
+        return {coord: self._memo[task.id]
+                for coord, task in terminals.items()}
 
     # -- bulk execution ----------------------------------------------------
 

@@ -110,10 +110,10 @@ class SubprocessShardBackend(ExecutionBackend):
         """The worker's input payload: a dependency-closed subgraph plus
         the resolved values it reads at its boundary.
 
-        Resolved boundary tasks are included with their deps stripped —
-        they never execute (their value ships in ``preloaded``), so the
-        worker's graph stays closed without dragging in the transitive
-        history behind them.
+        Resolved boundary tasks are included with their deps stripped,
+        inputs too (which would refill them) — they never execute (their
+        value ships in ``preloaded``), so the worker's graph stays closed
+        without dragging in the transitive history behind them.
         """
         subgraph = {task_id: graph[task_id] for task_id in shard_ids}
         preloaded: dict[str, Any] = {}
@@ -121,7 +121,7 @@ class SubprocessShardBackend(ExecutionBackend):
             for dep in graph[task_id].deps:
                 if dep not in subgraph:
                     preloaded[dep] = resolved[dep]
-                    subgraph[dep] = replace(graph[dep], deps=())
+                    subgraph[dep] = replace(graph[dep], deps=(), inputs=())
         spec = {
             "graph": subgraph,
             "preloaded": preloaded,

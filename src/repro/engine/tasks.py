@@ -15,6 +15,10 @@ list of (workload, input) members at one (ISA, opt-level):
     profile (member 2) ──┼──▶ consolidated-timing    (Fig. 11's synthetic
     ...                ──┘                            side, per ISA/opt)
 
+That shape is written once, in the task builders below: each builds the
+upstream tasks it consumes (``Task.inputs``), and :func:`closure`
+derives every graph — a bulk grid or one lookup — from its terminals.
+
 Stage functions take ``(payload, deps)`` where ``deps`` maps dependency
 task ids to their results, and return a picklable artifact.  They are
 module-level so process-based execution backends can ship them to
@@ -112,12 +116,44 @@ def stage_cost(stage: str) -> float:
 
 @dataclass(frozen=True)
 class Task:
-    """One pure pipeline step: ``stage`` applied to ``payload``."""
+    """One pure pipeline step: ``stage`` applied to ``payload``.
+
+    ``inputs`` holds the upstream tasks this one consumes, as the
+    builders below construct them; ``deps`` defaults to their ids, in
+    order.  Graphs built by hand pass ``deps`` and leave ``inputs``
+    empty: the scheduler and backends read ``deps`` only, and
+    :func:`closure` walks ``inputs``.
+    """
 
     id: str
     stage: str
     payload: dict = field(default_factory=dict, hash=False)
     deps: tuple[str, ...] = ()
+    inputs: tuple[Task, ...] = field(default=(), compare=False, hash=False,
+                                     repr=False)
+
+    def __post_init__(self) -> None:
+        if self.inputs and not self.deps:
+            object.__setattr__(self, "deps", tuple(dict.fromkeys(
+                task.id for task in self.inputs)))
+
+
+def closure(*terminals: Task) -> dict[str, Task]:
+    """The graph ``{task_id: Task}`` of *terminals* and everything
+    upstream of them.  Each node comes after its inputs, and a node
+    several terminals share appears once (the first task built for its
+    id wins)."""
+    graph: dict[str, Task] = {}
+
+    def visit(task: Task) -> None:
+        if task.id not in graph:
+            for upstream in task.inputs:
+                visit(upstream)
+            graph[task.id] = task
+
+    for task in terminals:
+        visit(task)
+    return graph
 
 
 def _workload_source(payload: dict) -> str:
@@ -135,56 +171,47 @@ def pair_fingerprint(workload: str, input_name: str) -> str:
     )
 
 
-def _single_dep(task: Task, deps: dict[str, Any], stage: str):
-    for dep_id in task.deps:
-        if dep_id.startswith(stage + ":"):
-            return deps[dep_id]
-    raise KeyError(f"{task.id} has no resolved '{stage}' dependency")
-
-
 def run_stage(task: Task, deps: dict[str, Any]):
-    """Execute one task given its resolved dependencies."""
+    """Execute one task given its resolved dependencies (``deps`` maps
+    each of ``task.deps`` to its result; stages read them in order)."""
     from repro.cc.driver import compile_program
     from repro.profiling.profile import profile_trace
     from repro.sim.functional import run_binary
     from repro.synthesis.synthesizer import synthesize, synthesize_consolidated
 
     payload = task.payload
+    inputs = [deps[dep_id] for dep_id in task.deps]
     if task.stage == STAGE_COMPILE:
         return compile_program(_workload_source(payload), payload["isa"],
                                payload["opt_level"])
-    if task.stage == STAGE_RUN:
-        compiled = _single_dep(task, deps, STAGE_COMPILE)
+    if task.stage in (STAGE_RUN, STAGE_RUN_CLONE):
+        (compiled,) = inputs
         # The execution engine run_binary picks stays OUT of
         # key_fields: both engines produce byte-identical traces, so
         # artifacts are interchangeable and learned stage costs absorb
         # the speedup.
         return run_binary(compiled.binary)
     if task.stage == STAGE_PROFILE:
-        trace = _single_dep(task, deps, STAGE_RUN)
+        (trace,) = inputs
         name = f"{payload['workload']}/{payload['input']}"
         return profile_trace(trace.binary, trace, source_name=name)
     if task.stage == STAGE_SYNTHESIZE:
-        profile = _single_dep(task, deps, STAGE_PROFILE)
+        (profile,) = inputs
         return synthesize(profile,
                           target_instructions=payload["target_instructions"])
     if task.stage == STAGE_COMPILE_CLONE:
-        clone = _single_dep(task, deps, STAGE_SYNTHESIZE)
+        (clone,) = inputs
         return compile_program(clone.source, payload["isa"],
                                payload["opt_level"])
-    if task.stage == STAGE_RUN_CLONE:
-        compiled = _single_dep(task, deps, STAGE_COMPILE_CLONE)
-        return run_binary(compiled.binary)
     if task.stage == STAGE_REPLAY:
-        trace_stage = STAGE_RUN_CLONE if payload["side"] == "syn" \
-            else STAGE_RUN
-        trace = _single_dep(task, deps, trace_stage)
+        (trace,) = inputs
         return payload["machine_spec"].build().simulate(trace)
     if task.stage == STAGE_CONSOLIDATED_TIMING:
-        profiles = [deps[profile_task(workload, input_name).id]
-                    for workload, input_name in payload["members"]]
+        # deps hold one profile per distinct member, in member order.
+        profiles = dict(zip(dict.fromkeys(payload["members"]), inputs))
         consolidated = synthesize_consolidated(
-            profiles, target_instructions=payload["target_instructions"])
+            [profiles[member] for member in payload["members"]],
+            target_instructions=payload["target_instructions"])
         compiled = compile_program(consolidated.source, payload["isa"],
                                    payload["opt_level"])
         trace = run_binary(compiled.binary)
@@ -250,64 +277,58 @@ def _coord(workload: str, input_name: str, isa: str, opt_level: int) -> str:
     return f"{workload}/{input_name}@{isa}-O{opt_level}"
 
 
+def _task(stage: str, name: str, payload: dict, *inputs: Task) -> Task:
+    return Task(id=f"{stage}:{name}", stage=stage, payload=payload,
+                inputs=inputs)
+
+
 def compile_task(workload: str, input_name: str, isa: str,
                  opt_level: int) -> Task:
     payload = {"workload": workload, "input": input_name, "isa": isa,
                "opt_level": opt_level}
-    return Task(id=f"compile:{_coord(workload, input_name, isa, opt_level)}",
-                stage=STAGE_COMPILE, payload=payload)
+    return _task(STAGE_COMPILE, _coord(workload, input_name, isa, opt_level),
+                 payload)
 
 
 def run_task(workload: str, input_name: str, isa: str, opt_level: int) -> Task:
-    coord = _coord(workload, input_name, isa, opt_level)
-    payload = {"workload": workload, "input": input_name, "isa": isa,
-               "opt_level": opt_level}
-    return Task(id=f"run:{coord}", stage=STAGE_RUN, payload=payload,
-                deps=(f"compile:{coord}",))
+    compiled = compile_task(workload, input_name, isa, opt_level)
+    return _task(STAGE_RUN, _coord(workload, input_name, isa, opt_level),
+                 dict(compiled.payload), compiled)
 
 
 def profile_task(workload: str, input_name: str) -> Task:
-    ref = _coord(workload, input_name, REF_ISA, REF_OPT)
     payload = {"workload": workload, "input": input_name}
-    return Task(id=f"profile:{workload}/{input_name}", stage=STAGE_PROFILE,
-                payload=payload, deps=(f"run:{ref}",))
+    return _task(STAGE_PROFILE, f"{workload}/{input_name}", payload,
+                 run_task(workload, input_name, REF_ISA, REF_OPT))
 
 
 def synthesize_task(workload: str, input_name: str,
                     target_instructions: int) -> Task:
     payload = {"workload": workload, "input": input_name,
                "target_instructions": target_instructions}
-    return Task(
-        id=f"synthesize:{workload}/{input_name}#{target_instructions}",
-        stage=STAGE_SYNTHESIZE, payload=payload,
-        deps=(f"profile:{workload}/{input_name}",),
-    )
+    return _task(STAGE_SYNTHESIZE,
+                 f"{workload}/{input_name}#{target_instructions}", payload,
+                 profile_task(workload, input_name))
 
 
 def compile_clone_task(workload: str, input_name: str, isa: str,
                        opt_level: int, target_instructions: int) -> Task:
-    coord = _coord(workload, input_name, isa, opt_level)
     payload = {"workload": workload, "input": input_name, "isa": isa,
                "opt_level": opt_level,
                "target_instructions": target_instructions}
-    return Task(
-        id=f"compile-clone:{coord}#{target_instructions}",
-        stage=STAGE_COMPILE_CLONE, payload=payload,
-        deps=(f"synthesize:{workload}/{input_name}#{target_instructions}",),
-    )
+    return _task(STAGE_COMPILE_CLONE,
+                 f"{_coord(workload, input_name, isa, opt_level)}"
+                 f"#{target_instructions}", payload,
+                 synthesize_task(workload, input_name, target_instructions))
 
 
 def run_clone_task(workload: str, input_name: str, isa: str, opt_level: int,
                    target_instructions: int) -> Task:
-    coord = _coord(workload, input_name, isa, opt_level)
-    payload = {"workload": workload, "input": input_name, "isa": isa,
-               "opt_level": opt_level,
-               "target_instructions": target_instructions}
-    return Task(
-        id=f"run-clone:{coord}#{target_instructions}",
-        stage=STAGE_RUN_CLONE, payload=payload,
-        deps=(f"compile-clone:{coord}#{target_instructions}",),
-    )
+    compiled = compile_clone_task(workload, input_name, isa, opt_level,
+                                  target_instructions)
+    return _task(STAGE_RUN_CLONE,
+                 f"{_coord(workload, input_name, isa, opt_level)}"
+                 f"#{target_instructions}", dict(compiled.payload), compiled)
 
 
 def replay_task(workload: str, input_name: str, opt_level: int,
@@ -318,7 +339,8 @@ def replay_task(workload: str, input_name: str, opt_level: int,
 
     The task id embeds the fingerprint prefix so distinct machines never
     collide; the full fingerprint goes into the content-address (see
-    :func:`key_fields`).
+    :func:`key_fields`).  *target_instructions* sizes the synthetic
+    side's clone and is ignored on the original side.
     """
     if side not in ("org", "syn"):
         raise ValueError(f"replay side must be 'org' or 'syn', got {side!r}")
@@ -328,17 +350,15 @@ def replay_task(workload: str, input_name: str, opt_level: int,
     payload = {"workload": workload, "input": input_name, "isa": isa,
                "opt_level": opt_level, "side": side,
                "machine_spec": machine_spec}
-    if side == "syn":
-        if target_instructions is None:
-            raise ValueError("synthetic replays need target_instructions")
-        payload["target_instructions"] = target_instructions
-        return Task(
-            id=f"replay:syn:{coord}#{target_instructions}@{fp}",
-            stage=STAGE_REPLAY, payload=payload,
-            deps=(f"run-clone:{coord}#{target_instructions}",),
-        )
-    return Task(id=f"replay:org:{coord}@{fp}", stage=STAGE_REPLAY,
-                payload=payload, deps=(f"run:{coord}",))
+    if side == "org":
+        return _task(STAGE_REPLAY, f"org:{coord}@{fp}", payload,
+                     run_task(workload, input_name, isa, opt_level))
+    if target_instructions is None:
+        raise ValueError("synthetic replays need target_instructions")
+    payload["target_instructions"] = target_instructions
+    return _task(STAGE_REPLAY, f"syn:{coord}#{target_instructions}@{fp}",
+                 payload, run_clone_task(workload, input_name, isa,
+                                         opt_level, target_instructions))
 
 
 def consolidated_timing_task(members, opt_level: int,
@@ -351,6 +371,7 @@ def consolidated_timing_task(members, opt_level: int,
     Specs are deduplicated and sorted by fingerprint, so the task and
     its key depend only on the set of cycle models; the task id embeds
     a digest of that set so different machine sets never collide.
+    Its inputs are the distinct members' profiles, in member order.
     """
     members = tuple((workload, input_name)
                     for workload, input_name in members)
@@ -368,13 +389,11 @@ def consolidated_timing_task(members, opt_level: int,
                "target_instructions": target_instructions,
                "machine_specs": tuple(by_fingerprint[fp]
                                       for fp in fingerprints)}
-    return Task(
-        id=f"consolidated-timing:{names}@{isa}-O{opt_level}"
-           f"#{target_instructions}@{machines[:12]}",
-        stage=STAGE_CONSOLIDATED_TIMING, payload=payload,
-        deps=tuple(dict.fromkeys(profile_task(workload, input_name).id
-                                 for workload, input_name in members)),
-    )
+    return _task(STAGE_CONSOLIDATED_TIMING,
+                 f"{names}@{isa}-O{opt_level}#{target_instructions}"
+                 f"@{machines[:12]}", payload,
+                 *(profile_task(workload, input_name)
+                   for workload, input_name in dict.fromkeys(members)))
 
 
 def build_pipeline_graph(
@@ -386,55 +405,37 @@ def build_pipeline_graph(
 ) -> dict[str, Task]:
     """Full experiment DAG for *pairs* across (ISA, opt-level) *coords*.
 
-    *machine_points* extends the grid with timing replays: each entry is
-    a ``(MachineSpec, opt_level)`` pair, and contributes — per workload
-    pair and requested side — the compile/run chain at the machine's ISA
-    plus a replay node timing that trace on the machine.  A design-space
-    sweep is therefore one graph: shared compiles deduplicate across
-    machine points exactly like the reference chain deduplicates across
-    coordinates.
+    Per workload pair and requested side, the terminals are: the
+    synthesized clone, the original's run and the clone's run at every
+    coordinate, and a replay on every *machine_points* entry — a
+    ``(MachineSpec, opt_level)`` pair timing that side's trace at the
+    machine's ISA.  A design-space sweep is therefore one graph.
 
-    Returns ``{task_id: Task}`` with shared prefixes deduplicated — the
-    reference compile/run/profile/synthesize chain appears once per pair
-    no matter how many coordinates request it.
+    Returns :func:`closure` of the terminals, so shared prefixes appear
+    once: the reference compile/run/profile/synthesize chain once per
+    pair, a compile once per (ISA, opt level) however many machines
+    replay its trace.
     """
-    graph: dict[str, Task] = {}
-
-    def add(task: Task) -> None:
-        graph.setdefault(task.id, task)
-
     machine_points = tuple(machine_points)
+    terminals = []
     for workload, input_name in pairs:
         if "syn" in sides:
-            add(compile_task(workload, input_name, REF_ISA, REF_OPT))
-            add(run_task(workload, input_name, REF_ISA, REF_OPT))
-            add(profile_task(workload, input_name))
-            add(synthesize_task(workload, input_name, target_instructions))
+            terminals.append(synthesize_task(workload, input_name,
+                                             target_instructions))
         for isa, opt_level in coords:
             if "org" in sides:
-                add(compile_task(workload, input_name, isa, opt_level))
-                add(run_task(workload, input_name, isa, opt_level))
+                terminals.append(run_task(workload, input_name, isa,
+                                          opt_level))
             if "syn" in sides:
-                add(compile_clone_task(workload, input_name, isa, opt_level,
-                                       target_instructions))
-                add(run_clone_task(workload, input_name, isa, opt_level,
-                                   target_instructions))
+                terminals.append(run_clone_task(workload, input_name, isa,
+                                                opt_level,
+                                                target_instructions))
         for spec, opt_level in machine_points:
-            isa = spec.isa
-            if "org" in sides:
-                add(compile_task(workload, input_name, isa, opt_level))
-                add(run_task(workload, input_name, isa, opt_level))
-                add(replay_task(workload, input_name, opt_level, spec,
-                                side="org"))
-            if "syn" in sides:
-                add(compile_clone_task(workload, input_name, isa, opt_level,
-                                       target_instructions))
-                add(run_clone_task(workload, input_name, isa, opt_level,
-                                   target_instructions))
-                add(replay_task(workload, input_name, opt_level, spec,
-                                side="syn",
-                                target_instructions=target_instructions))
-    return graph
+            terminals.extend(
+                replay_task(workload, input_name, opt_level, spec, side=side,
+                            target_instructions=target_instructions)
+                for side in ("org", "syn") if side in sides)
+    return closure(*terminals)
 
 
 StageRunner = Callable[[Task, dict], Any]

@@ -37,6 +37,8 @@ from repro.engine.tasks import (
     REF_ISA,
     REF_OPT,
     build_pipeline_graph,
+    closure,
+    replay_task,
 )
 from repro.sim.machines import MachineSpec
 
@@ -253,13 +255,11 @@ def estimate_stages(kind: str, params: dict) -> list[str]:
         )
         return [task.stage for task in graph.values()]
     if kind == "replay":
-        spec = machine_spec_from_params(params["machine"])
-        graph = build_pipeline_graph(
-            ((params["workload"], params["input"]),), coords=(),
-            target_instructions=params["target_instructions"],
-            sides=(params["side"],),
-            machine_points=((spec, params["opt_level"]),),
-        )
+        graph = closure(replay_task(
+            params["workload"], params["input"], params["opt_level"],
+            machine_spec_from_params(params["machine"]),
+            side=params["side"],
+            target_instructions=params["target_instructions"]))
         return [task.stage for task in graph.values()]
     # sweep/search: points × pairs × (compile, run, 2×replay) plus the
     # per-pair reference chain — an upper bound; warm artifacts make

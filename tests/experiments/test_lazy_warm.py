@@ -1,4 +1,5 @@
-"""A warm report's prefetch reads only the sinks of its graphs."""
+"""A report's prefetch reads only the sinks of its graphs, and builds
+only the nodes its figures read."""
 
 from repro.engine.api import Engine
 from repro.engine.scheduler import sinks
@@ -36,3 +37,13 @@ def test_warm_figures_reads_one_artifact_per_sink(tmp_path):
     assert len(gets) == len(set(gets)) == len(sinks(graph))
     assert len(sinks(graph)) < len(graph)
     assert store.stats.misses == 0 and store.stats.puts == 0
+
+
+def test_fig11_prefetch_builds_no_clone_runs(tmp_path):
+    # Fig. 11 times a consolidated clone in one engine stage, so its
+    # prefetch needs no per-coordinate clone of any pair.
+    runner = make_runner(tmp_path)
+    warm_figures(runner, ("fig11",), pairs=PAIRS)
+    stored = runner.engine.store.by_stage()
+    assert "profile" in stored
+    assert "compile-clone" not in stored and "run-clone" not in stored

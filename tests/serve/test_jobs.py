@@ -121,6 +121,14 @@ class TestEstimateStages:
         })
         stages = estimate_stages(kind, params)
         assert sorted(stages) == ["compile", "replay", "run"]
+        kind, params, _ = normalize_request({
+            "kind": "replay", "workload": PAIR[0], "input": "small",
+            "machine": {}, "side": "syn",
+        })
+        stages = estimate_stages(kind, params)
+        assert sorted(stages) == ["compile", "compile-clone", "profile",
+                                  "replay", "run", "run-clone",
+                                  "synthesize"]
 
     def test_warm_counts_both_sides(self):
         kind, params, _ = normalize_request(
