@@ -200,6 +200,23 @@ class Engine:
         return {coord: self._memo[task.id]
                 for coord, task in terminals.items()}
 
+    def similarity(self, workload: str, input_name: str) -> dict:
+        """The pair's §V-E plagiarism-detector row: ``moss``, ``jplag``,
+        ``flagged`` and ``self_moss`` for its original and clone.  A warm
+        call loads only that row, never the clone."""
+        return self._resolve(_tasks.similarity_task(
+            workload, input_name, self.target_instructions))
+
+    def ablation(self, workload: str, input_name: str,
+                 linear_instructions: int) -> dict:
+        """Fidelity metrics of the pair's original, SFGL clone and
+        *linear_instructions*-sized linear clone at the reference
+        coordinate: ``{"original": ..., "sfgl": ..., "linear": ...}``.
+        A warm call loads only those metrics, no trace."""
+        return self._resolve(_tasks.ablation_task(
+            workload, input_name, self.target_instructions,
+            linear_instructions))
+
     # -- bulk execution ----------------------------------------------------
 
     def warm(

@@ -15,6 +15,9 @@ list of (workload, input) members at one (ISA, opt-level):
     profile (member 2) ──┼──▶ consolidated-timing    (Fig. 11's synthetic
     ...                ──┘                            side, per ISA/opt)
 
+    synthesize ──▶ similarity                        (§V-E obfuscation row)
+    run@ref, run-clone@ref, profile ──▶ ablation     (SFGL vs linear clone)
+
 That shape is written once, in the task builders below: each builds the
 upstream tasks it consumes (``Task.inputs``), and :func:`closure`
 derives every graph — a bulk grid or one lookup — from its terminals.
@@ -42,6 +45,16 @@ trace on every given machine of that ISA.  Its artifact holds only the
 ``{machine fingerprint: TimingResult}`` dict — the clone's binary and
 trace are larger than the rest of a report's store and no reader needs
 them — so a warm Fig. 11 costs one small read per (ISA, level).
+
+Two report sections are stages of the same kind, each storing only the
+row its section prints.  **similarity** runs the Moss and JPlag
+detectors on a pair's original and clone (plus Moss on the original
+against itself) and keeps the four scores.  **ablation** builds the
+linear-sequence baseline clone from the pair's profile, compiles and
+runs it at the reference coordinate, and keeps the fidelity metrics
+(instruction mix, branch accuracy, cache hit rate) of the original, the
+SFGL clone and the linear clone — never the linear clone's binary or
+trace.
 
 :data:`STAGE_COSTS` is the scheduler's per-stage cost table: a relative
 estimate of each stage's compute weight, which cost-aware backends (the
@@ -74,6 +87,8 @@ STAGE_COMPILE_CLONE = "compile-clone"
 STAGE_RUN_CLONE = "run-clone"
 STAGE_REPLAY = "replay"
 STAGE_CONSOLIDATED_TIMING = "consolidated-timing"
+STAGE_SIMILARITY = "similarity"
+STAGE_ABLATION = "ablation"
 
 STAGES = (
     STAGE_COMPILE,
@@ -84,6 +99,8 @@ STAGES = (
     STAGE_RUN_CLONE,
     STAGE_REPLAY,
     STAGE_CONSOLIDATED_TIMING,
+    STAGE_SIMILARITY,
+    STAGE_ABLATION,
 )
 
 #: Relative compute weight per stage — the scheduler's cost table.
@@ -102,6 +119,11 @@ STAGE_COSTS: dict[str, float] = {
     STAGE_REPLAY: 0.5,
     # One compile, one run and a few replays of a suite-sized clone.
     STAGE_CONSOLIDATED_TIMING: 36.0,
+    # Lexing, winnowing and tiling two sources.
+    STAGE_SIMILARITY: 3.0,
+    # A small clone's synthesis, compile and run, plus three traces'
+    # predictor and cache passes.
+    STAGE_ABLATION: 15.0,
 }
 
 #: Cost assumed for stages the table doesn't know (third-party graphs):
@@ -171,12 +193,33 @@ def pair_fingerprint(workload: str, input_name: str) -> str:
     )
 
 
+#: The ablation's cache-hit-rate metric: one 8 KB L1 (32-byte lines,
+#: 4-way — the sweep defaults).
+_ABLATION_CACHE_BYTES = 8 * 1024
+
+
+def _fidelity_metrics(trace) -> dict:
+    """What the ablation compares a clone to its original on."""
+    from repro.sim.branch import HybridPredictor, simulate_predictor
+    from repro.sim.cache import sweep_cache_sizes
+
+    return {
+        "mix": trace.instruction_mix().paper_mix(),
+        "branch_accuracy": simulate_predictor(trace.branch_log,
+                                              HybridPredictor()).accuracy,
+        "cache_hit_rate": sweep_cache_sizes(
+            trace.mem_addrs, [_ABLATION_CACHE_BYTES])[_ABLATION_CACHE_BYTES],
+    }
+
+
 def run_stage(task: Task, deps: dict[str, Any]):
     """Execute one task given its resolved dependencies (``deps`` maps
     each of ``task.deps`` to its result; stages read them in order)."""
     from repro.cc.driver import compile_program
+    from repro.obfuscation.report import similarity_row
     from repro.profiling.profile import profile_trace
     from repro.sim.functional import run_binary
+    from repro.synthesis.baseline import synthesize_linear
     from repro.synthesis.synthesizer import synthesize, synthesize_consolidated
 
     payload = task.payload
@@ -217,6 +260,17 @@ def run_stage(task: Task, deps: dict[str, Any]):
         trace = run_binary(compiled.binary)
         return {spec.fingerprint(): spec.build().simulate(trace)
                 for spec in payload["machine_specs"]}
+    if task.stage == STAGE_SIMILARITY:
+        (clone,) = inputs
+        return similarity_row(_workload_source(payload), clone.source)
+    if task.stage == STAGE_ABLATION:
+        original, sfgl, profile = inputs
+        linear = synthesize_linear(profile, payload["linear_instructions"])
+        trace = run_binary(
+            compile_program(linear.source, REF_ISA, REF_OPT).binary)
+        return {"original": _fidelity_metrics(original),
+                "sfgl": _fidelity_metrics(sfgl),
+                "linear": _fidelity_metrics(trace)}
     raise ValueError(f"unknown stage: {task.stage!r}")
 
 
@@ -250,9 +304,14 @@ def key_fields(task: Task) -> dict:
         fields.update(isa=payload["isa"], opt_level=payload["opt_level"])
     elif task.stage == STAGE_PROFILE:
         fields.update(ref_isa=REF_ISA, ref_opt=REF_OPT)
-    elif task.stage == STAGE_SYNTHESIZE:
+    elif task.stage in (STAGE_SYNTHESIZE, STAGE_SIMILARITY, STAGE_ABLATION):
+        # Both report stages derive from the reference chain and the
+        # clone, so they key like synthesis; the ablation adds its
+        # linear clone's size.
         fields.update(ref_isa=REF_ISA, ref_opt=REF_OPT,
                       target_instructions=payload["target_instructions"])
+        if task.stage == STAGE_ABLATION:
+            fields["linear_instructions"] = payload["linear_instructions"]
     elif task.stage in (STAGE_COMPILE_CLONE, STAGE_RUN_CLONE):
         fields.update(isa=payload["isa"], opt_level=payload["opt_level"],
                       target_instructions=payload["target_instructions"])
@@ -394,6 +453,34 @@ def consolidated_timing_task(members, opt_level: int,
                  f"@{machines[:12]}", payload,
                  *(profile_task(workload, input_name)
                    for workload, input_name in dict.fromkeys(members)))
+
+
+def similarity_task(workload: str, input_name: str,
+                    target_instructions: int) -> Task:
+    """Score the pair's original and clone with both plagiarism
+    detectors (§V-E); its input is the clone's synthesis."""
+    clone = synthesize_task(workload, input_name, target_instructions)
+    return _task(STAGE_SIMILARITY,
+                 f"{workload}/{input_name}#{target_instructions}",
+                 dict(clone.payload), clone)
+
+
+def ablation_task(workload: str, input_name: str, target_instructions: int,
+                  linear_instructions: int) -> Task:
+    """Compare the SFGL clone and a *linear_instructions*-sized
+    linear-sequence clone to the original at the reference coordinate.
+    Its inputs are the original's run, the clone's run and the profile
+    the linear clone is built from."""
+    payload = {"workload": workload, "input": input_name,
+               "target_instructions": target_instructions,
+               "linear_instructions": linear_instructions}
+    return _task(STAGE_ABLATION,
+                 f"{workload}/{input_name}#{target_instructions}"
+                 f"@linear{linear_instructions}", payload,
+                 run_task(workload, input_name, REF_ISA, REF_OPT),
+                 run_clone_task(workload, input_name, REF_ISA, REF_OPT,
+                                target_instructions),
+                 profile_task(workload, input_name))
 
 
 def build_pipeline_graph(

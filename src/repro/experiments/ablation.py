@@ -5,28 +5,16 @@ iterated in a big loop: no nested loops, no calls, no conditional
 structure.  This experiment quantifies what the SFGL buys by comparing
 both clones' fidelity to the original on three axes the paper's figures
 read off: branch-prediction accuracy, instruction mix and cache hit
-rate.
+rate.  The three traces' metrics are one small artifact of the
+engine's ``ablation`` stage, which also builds, compiles and runs the
+linear clone; a warm report only computes the errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cc.driver import compile_program
 from repro.experiments.runner import ExperimentRunner, QUICK_PAIRS, format_table
-from repro.sim.branch import HybridPredictor, simulate_predictor
-from repro.sim.cache import sweep_cache_sizes
-from repro.sim.functional import run_binary
-from repro.synthesis.baseline import synthesize_linear
-
-_CACHE_SIZE = 8 * 1024  # 32-byte lines, 4-way: the sweep defaults
-
-
-def _metrics(trace) -> dict:
-    mix = trace.instruction_mix().paper_mix()
-    branch = simulate_predictor(trace.branch_log, HybridPredictor()).accuracy
-    cache = sweep_cache_sizes(trace.mem_addrs, [_CACHE_SIZE])[_CACHE_SIZE]
-    return {"mix": mix, "branch_accuracy": branch, "cache_hit_rate": cache}
 
 
 def _mix_error(a: dict, b: dict) -> float:
@@ -85,12 +73,9 @@ def run_ablation(
 ) -> AblationResult:
     result = AblationResult()
     for workload, input_name in pairs:
-        original = _metrics(runner.original_trace(workload, input_name, "x86", 0))
-        sfgl = _metrics(runner.synthetic_trace(workload, input_name, "x86", 0))
-        profile = runner.profile(workload, input_name)
-        linear_clone = synthesize_linear(profile, target_instructions)
-        linear_binary = compile_program(linear_clone.source, "x86", 0).binary
-        linear = _metrics(run_binary(linear_binary))
+        metrics = runner.ablation(workload, input_name, target_instructions)
+        original, sfgl, linear = (metrics["original"], metrics["sfgl"],
+                                  metrics["linear"])
         result.rows.append(
             {
                 "workload": workload,

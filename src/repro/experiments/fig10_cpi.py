@@ -4,6 +4,11 @@ Per benchmark: CPI with 8/16/32 KB data caches on the 2-wide OoO model
 (the paper's PTLSim setup), original vs synthetic.  The paper's markers:
 fft has the highest CPI (floating point), sha the lowest, and cache-size
 sensitivity (dijkstra, qsort) carries over to the clones.
+
+Each (pair, side, cache size) is a node of the engine's cached
+``replay`` stage on a :class:`~repro.sim.machines.MachineSpec`, so a
+warm report reads six small timing results per pair and loads no
+trace.
 """
 
 from __future__ import annotations
@@ -11,19 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.runner import ExperimentRunner, QUICK_PAIRS, format_table
-from repro.sim.cache import CacheConfig
-from repro.sim.ooo import OutOfOrderModel, TimingConfig
+from repro.sim.machines import spec_from_axes
 
 CACHE_SIZES_KB = (8, 16, 32)
 
 
-def _config(cache_kb: int) -> TimingConfig:
-    return TimingConfig(
-        width=2,
-        rob_size=64,
-        l1=CacheConfig(cache_kb * 1024, 32, 4),
-        l2=CacheConfig(512 * 1024, 32, 8),
-    )
+def cpi_spec(isa: str, cache_kb: int):
+    """The 2-wide OoO core with a *cache_kb* L1 and a 512 KB L2."""
+    return spec_from_axes(isa=isa, width=2, rob=64, l1_kb=cache_kb,
+                          l2_kb=512)
 
 
 @dataclass
@@ -62,17 +63,16 @@ def run_fig10(
     cache_sizes_kb=CACHE_SIZES_KB,
 ) -> Fig10Result:
     result = Fig10Result()
+    specs = {cache_kb: cpi_spec(isa, cache_kb) for cache_kb in cache_sizes_kb}
+    runner.warm(pairs, (), machine_points=[(spec, opt_level)
+                                           for spec in specs.values()])
     for workload, input_name in pairs:
         for side in ("ORG", "SYN"):
-            trace = (
-                runner.original_trace(workload, input_name, isa, opt_level)
-                if side == "ORG"
-                else runner.synthetic_trace(workload, input_name, isa, opt_level)
-            )
-            cpis: dict[int, float] = {}
-            for cache_kb in cache_sizes_kb:
-                model = OutOfOrderModel(_config(cache_kb))
-                cpis[cache_kb] = model.simulate(trace).cpi
+            cpis = {
+                cache_kb: runner.replay_timing(workload, input_name, spec,
+                                               opt_level, side.lower()).cpi
+                for cache_kb, spec in specs.items()
+            }
             result.rows.append(
                 {
                     "workload": workload,

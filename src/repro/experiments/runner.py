@@ -104,6 +104,20 @@ class ExperimentRunner:
         return self.engine.consolidated_timings(pairs, specs, levels,
                                                 target_instructions)
 
+    # -- report sections ---------------------------------------------------
+
+    def similarity(self, workload: str, input_name: str) -> dict:
+        """The pair's cached Moss/JPlag row (the engine's similarity
+        stage)."""
+        return self.engine.similarity(workload, input_name)
+
+    def ablation(self, workload: str, input_name: str,
+                 linear_instructions: int) -> dict:
+        """The pair's cached original/SFGL/linear fidelity metrics (the
+        engine's ablation stage)."""
+        return self.engine.ablation(workload, input_name,
+                                    linear_instructions)
+
     # -- bulk / observability ----------------------------------------------
 
     def warm(self, pairs, coords=(("x86", 0),), workers: int | None = None,

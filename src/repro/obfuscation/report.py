@@ -28,11 +28,29 @@ class SimilarityReport:
         )
 
 
-def compare_sources(original: str, synthetic: str) -> SimilarityReport:
-    """Run both detectors on a source pair."""
-    tokens_a = normalize_tokens(original)
-    tokens_b = normalize_tokens(synthetic)
+def compare_tokens(tokens_a: list[str], tokens_b: list[str]) -> SimilarityReport:
+    """Run both detectors on two normalized token streams."""
     return SimilarityReport(
         moss_similarity=fingerprint_similarity(tokens_a, tokens_b),
         jplag_similarity=gst_similarity(tokens_a, tokens_b),
     )
+
+
+def compare_sources(original: str, synthetic: str) -> SimilarityReport:
+    """Run both detectors on a source pair."""
+    return compare_tokens(normalize_tokens(original), normalize_tokens(synthetic))
+
+
+def similarity_row(original: str, synthetic: str) -> dict:
+    """The §V-E row for one (original, clone) pair: both detectors on
+    the pair, plus Moss on (original, original) — the sanity check that
+    the tool fires on a copy.  Each source is lexed once, and only the
+    pair is tiled."""
+    tokens = normalize_tokens(original)
+    report = compare_tokens(tokens, normalize_tokens(synthetic))
+    return {
+        "moss": report.moss_similarity,
+        "jplag": report.jplag_similarity,
+        "flagged": report.flagged,
+        "self_moss": fingerprint_similarity(tokens, tokens),
+    }

@@ -1,7 +1,9 @@
 """Moss-style winnowing fingerprints (Schleimer et al., SIGMOD 2003).
 
 1. Normalize the token stream (:mod:`repro.obfuscation.tokens`).
-2. Hash every k-gram of tokens.
+2. Hash every k-gram of tokens with a stable 64-bit digest (never the
+   builtin ``hash``, which ``PYTHONHASHSEED`` salts per process), so a
+   fingerprint set — and every score — is the same in any process.
 3. Slide a window of w hashes; record the minimum of each window
    (rightmost on ties) — the *winnowing* guarantee is that any match of
    length >= w + k - 1 shares at least one fingerprint.
@@ -10,14 +12,23 @@
 
 from __future__ import annotations
 
+from hashlib import blake2b
+
 DEFAULT_K = 5
 DEFAULT_WINDOW = 4
 
 
+def _digest(gram: list[str]) -> int:
+    # Tokens are class names and operators: never NUL, so the join is
+    # unambiguous.
+    data = "\0".join(gram).encode()
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
+
+
 def _kgram_hashes(tokens: list[str], k: int) -> list[int]:
     if len(tokens) < k:
-        return [hash(tuple(tokens))] if tokens else []
-    return [hash(tuple(tokens[i : i + k])) for i in range(len(tokens) - k + 1)]
+        return [_digest(tokens)] if tokens else []
+    return [_digest(tokens[i : i + k]) for i in range(len(tokens) - k + 1)]
 
 
 def winnow(hashes: list[int], window: int) -> set[int]:

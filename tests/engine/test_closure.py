@@ -94,6 +94,11 @@ LOOKUPS = {
         lambda e: e.consolidated_timings(
             (PAIR, ("sha", "small"), PAIR), [SPEC, IA64], (0, 3), 300),
         {"compile": 2, "run": 2, "profile": 2, "consolidated-timing": 4}),
+    "similarity": (lambda e: e.similarity(*PAIR),
+                   {"compile": 1, "run": 1, "profile": 1, "synthesize": 1,
+                    "similarity": 1}),
+    "ablation": (lambda e: e.ablation(*PAIR, 5000),
+                 {**SYN_CHAIN, "ablation": 1}),
 }
 
 

@@ -1,5 +1,10 @@
 """Plagiarism detector tests: winnowing (Moss) and RKR-GST (JPlag)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.obfuscation.gst import greedy_string_tiling, gst_similarity
@@ -128,6 +133,34 @@ class TestWinnowing:
     def test_empty_input(self):
         assert winnow([], 4) == set()
         assert winnow_fingerprints([]) == set()
+
+    def test_similarity_is_independent_of_the_hash_seed(self, tmp_path):
+        # A partial copy scores strictly between 0 and 1, so the score
+        # depends on which fingerprints winnowing selects — and with
+        # salted hashes, on the process's PYTHONHASHSEED.
+        (tmp_path / "original.c").write_text(PROGRAM_B)
+        (tmp_path / "clone.c").write_text(PROGRAM_A + PROGRAM_B[:400])
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.obfuscation import normalize_tokens\n"
+            "from repro.obfuscation import fingerprint_similarity\n"
+            "a, b = (normalize_tokens(Path(p).read_text())"
+            " for p in sys.argv[1:])\n"
+            "print(repr(fingerprint_similarity(a, b)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        scores = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "original.c"),
+                 str(tmp_path / "clone.c")],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            scores.add(proc.stdout)
+        (score,) = scores
+        assert 0.0 < float(score) < 1.0
 
 
 class TestGST:
