@@ -546,6 +546,15 @@ class ArtifactStore:
                 "removed": removed, "kept": kept}
 
 
+def _limit(text: str) -> int:
+    """An ``evict`` limit: a count or byte size, never negative (a
+    negative limit would evict every entry)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     """``repro-cache`` — inspect and manage the artifact store."""
     parser = argparse.ArgumentParser(
@@ -570,8 +579,8 @@ def main(argv=None) -> int:
     )
     sub.add_parser("clear", help="remove every cached artifact")
     evict = sub.add_parser("evict", help="LRU-evict down to the given limits")
-    evict.add_argument("--max-bytes", type=int, default=None)
-    evict.add_argument("--max-entries", type=int, default=None)
+    evict.add_argument("--max-bytes", type=_limit, default=None)
+    evict.add_argument("--max-entries", type=_limit, default=None)
     fsck = sub.add_parser(
         "fsck", help="detect (and remove) corrupt or truncated entries"
     )

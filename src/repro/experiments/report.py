@@ -2,7 +2,8 @@
 
 ``python -m repro.experiments`` regenerates the tables and figures of
 the paper's evaluation section and writes a markdown report (used to
-produce EXPERIMENTS.md).  Figure scope mirrors the benchmark harness.
+produce EXPERIMENTS.md).  tests/experiments/test_paper_shapes.py
+checks each figure's findings over the same pairs.
 
 Each figure is registered in :data:`FIGURES` together with the
 (pairs, ISA, opt-level) grid it reads, so the engine can materialize the

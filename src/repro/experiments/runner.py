@@ -26,7 +26,7 @@ from repro.workloads import all_pairs
 # Synthetic size target (see DESIGN.md §5: the paper's 10M scaled ~1e3).
 SYNTHETIC_TARGET = DEFAULT_TARGET_INSTRUCTIONS
 
-# Fast subset used by default in the pytest-benchmark harness.
+# Fast subset: the figures' default pairs and the paper-shape tests' set.
 QUICK_PAIRS: tuple[tuple[str, str], ...] = (
     ("adpcm", "small"),
     ("bitcount", "small"),

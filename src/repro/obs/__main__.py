@@ -33,8 +33,25 @@ def _cmd_record(args) -> int:
     return explore_main(["run", "--preset", args.preset, *extra])
 
 
+def _load(path: str) -> dict | None:
+    """The trace at *path*, or ``None`` after one ``repro-trace:`` line
+    on stderr saying why it cannot be read."""
+    try:
+        return load_trace(path)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except json.JSONDecodeError as exc:
+        reason = f"not JSON ({exc})"
+    except ValueError as exc:
+        reason = str(exc)
+    print(f"repro-trace: {path}: {reason}", file=sys.stderr)
+    return None
+
+
 def _cmd_summary(args) -> int:
-    trace = load_trace(args.path)
+    trace = _load(args.path)
+    if trace is None:
+        return 2
     rows = summarize(trace)
     if not rows:
         print("no spans recorded")
@@ -62,7 +79,9 @@ def _cmd_summary(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    trace = load_trace(args.path)
+    trace = _load(args.path)
+    if trace is None:
+        return 2
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(chrome_trace(trace), indent=2))

@@ -159,8 +159,8 @@ class TracedRunner:
 def load_trace(path: Path | str) -> dict:
     """Load a native trace file (validating the format marker)."""
     data = json.loads(Path(path).read_text())
-    if data.get("format") != TRACE_FORMAT:
-        raise ValueError(f"{path}: not a {TRACE_FORMAT} file")
+    if not isinstance(data, dict) or data.get("format") != TRACE_FORMAT:
+        raise ValueError(f"not a {TRACE_FORMAT} file")
     return data
 
 

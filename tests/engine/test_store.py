@@ -385,6 +385,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--cache-dir", str(tmp_path), "evict"])
 
+    @pytest.mark.parametrize("flag", ["--max-entries", "--max-bytes"])
+    def test_evict_rejects_negative_limit(self, tmp_path, capsys, flag):
+        """A negative limit is a usage error, not "evict everything"."""
+        store = ArtifactStore(root=tmp_path)
+        store.put(store.key_for("compile", source_sha="s", isa="x86",
+                                opt_level=0), 42)
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", str(tmp_path), "evict", flag, "-1"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert store.info()["entries"] == 1
+
     def test_evict_cli(self, tmp_path, capsys):
         store = ArtifactStore(root=tmp_path)
         for i in range(3):

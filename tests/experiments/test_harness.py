@@ -1,26 +1,7 @@
-"""Smoke tests for the experiment harness (full runs live in benchmarks/)."""
+"""The experiment runner's caching and table rendering (the paper's
+findings are checked in test_paper_shapes.py)."""
 
-import pytest
-
-from repro.experiments import (
-    ExperimentRunner,
-    run_ablation,
-    run_cache_figure,
-    run_fig04,
-    run_fig05,
-    run_fig06,
-    run_fig09,
-    run_fig10,
-    run_obfuscation,
-)
 from repro.experiments.runner import format_table
-
-PAIRS = (("crc32", "small"), ("adpcm", "small"))
-
-
-@pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner()
 
 
 class TestRunnerCaching:
@@ -34,51 +15,6 @@ class TestRunnerCaching:
 
     def test_clone_cached(self, runner):
         assert runner.clone("crc32", "small") is runner.clone("crc32", "small")
-
-
-class TestFigureSmoke:
-    def test_fig04(self, runner):
-        result = run_fig04(runner, PAIRS)
-        assert len(result.rows) == 2
-        assert result.average_reduction > 1
-        assert "Fig. 4" in result.format_table()
-
-    def test_fig05(self, runner):
-        result = run_fig05(runner, PAIRS)
-        assert result.original[0] == 1.0
-        assert 0 < result.synthetic[2] <= 1.2
-
-    def test_fig06(self, runner):
-        result = run_fig06(runner, PAIRS, levels=(0,))
-        assert len(result.rows) == 4  # 2 pairs x ORG/SYN
-        for row in result.rows:
-            assert abs(sum(row["mix"].values()) - 1.0) < 1e-9
-
-    def test_fig07(self, runner):
-        result = run_cache_figure(runner, PAIRS, opt_level=0)
-        series = result.series("crc32", "small", "ORG")
-        assert set(series) == {k * 1024 for k in (1, 2, 4, 8, 16, 32)}
-
-    def test_fig09(self, runner):
-        result = run_fig09(runner, PAIRS, levels=(0,))
-        for row in result.rows:
-            assert 0.5 < row["accuracy"] <= 1.0
-
-    def test_fig10(self, runner):
-        result = run_fig10(runner, PAIRS[:1])
-        assert result.rows
-        for row in result.rows:
-            for cpi in row["cpi"].values():
-                assert 0.3 < cpi < 10
-
-    def test_obfuscation(self, runner):
-        result = run_obfuscation(runner, PAIRS)
-        assert not result.any_flagged
-
-    def test_ablation(self, runner):
-        result = run_ablation(runner, PAIRS[:1])
-        assert result.rows
-        assert "SFGL" in result.format_table()
 
 
 class TestFormatTable:

@@ -72,6 +72,33 @@ class TestExport:
         assert "wrote 2 events" in capsys.readouterr().out
 
 
+class TestUnreadableTrace:
+    """A missing, non-JSON or foreign file is one error line and exit 2,
+    never a traceback."""
+
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file or directory"),
+        ("{not json", "not JSON"),
+        (json.dumps({"spans": []}), "not a repro-trace file"),
+    ], ids=["missing", "not-json", "foreign"])
+    @pytest.mark.parametrize("command", ["summary", "export"])
+    def test_one_line_and_exit_2(self, tmp_path, capsys, command, content,
+                                 reason):
+        path = tmp_path / "trace.json"
+        if content is not None:
+            path.write_text(content)
+        argv = [command, str(path)]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "chrome.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro-trace: {path}: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "chrome.json").exists()
+
+
 class TestRecord:
     def test_figure_records_stage_spans(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

@@ -6,12 +6,15 @@ log, output, exit value, instruction count — plus exact ``SimTrap``
 parity (same trap kind and message at the same boundary).
 
 ``REPRO_EXEC_EQUIV_ALL=1`` widens the traced sweep from the sample pairs
-to every workload pair (a CI step of the test job).
+to every workload pair (a CI step of the test job) and checks the fast
+engine's speed floor: at least 5x the reference interpreter on the
+suite's longest run.
 """
 
 import gc
 import os
 import pickle
+import time
 
 import pytest
 
@@ -112,6 +115,25 @@ class TestTraceEquivalence:
         monkeypatch.setattr(fastexec, "_compiled_unit",
                             lambda _binary, _traced: unit)
         assert_equivalent(binary, collect_trace=True)
+
+
+@pytest.mark.skipif(os.environ.get("REPRO_EXEC_EQUIV_ALL") != "1",
+                    reason="timed; runs in the full equivalence sweep")
+def test_speed_floor_longest_run():
+    """A warm fast run of the suite's longest workload (bitcount/large
+    at the engine's x86 -O0 reference, ~2.8M instructions) is at least
+    5x faster than the reference interpreter, with a pickle-equal
+    trace."""
+    binary = binary_for("bitcount", "large")
+    start = time.perf_counter()
+    ref = Simulator(binary)._run_python(True)
+    t_py = time.perf_counter() - start
+    run_fast(binary)  # compile the unit, adapt the anchors
+    start = time.perf_counter()
+    fast = run_fast(binary)
+    t_fast = time.perf_counter() - start
+    assert pickle.dumps(ref) == pickle.dumps(fast)
+    assert t_py / t_fast >= 5.0, (t_py, t_fast)
 
 
 class TestTrapParity:

@@ -16,6 +16,9 @@ checked three ways:
 * seeded random mutations of a real trace (addresses and branch
   outcomes rewritten), so the segment memo and periodic-region paths
   see streams no real program produces.
+
+``REPRO_KERNEL_EQUIV_ALL=1`` also checks the kernel's speed floor: a
+warm replay of the longest trace at least 10x faster than python.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -118,7 +122,8 @@ class TestMachineMatrix:
 
 @pytest.mark.skipif("not __import__('os').environ.get('REPRO_KERNEL_EQUIV_ALL')")
 class TestFullSuiteEquivalence:
-    """The acceptance sweep: every pair, both models (a CI step)."""
+    """The acceptance sweep: every pair, both models, and the kernel's
+    speed floor (a CI step)."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("input_name", ("small", "large"))
@@ -126,6 +131,24 @@ class TestFullSuiteEquivalence:
         trace = trace_for(workload, input_name)
         assert_equivalent(OutOfOrderModel(), trace)
         assert_equivalent(InOrderModel(), trace)
+
+    @pytest.mark.parametrize("model_class", [OutOfOrderModel, InOrderModel])
+    def test_speed_floor_longest_trace(self, model_class):
+        """A warm kernel replay of the suite's longest trace
+        (bitcount/large at the engine's x86 -O0 reference, ~2.8M
+        instructions) is at least 10x faster than ``model.replay``."""
+        trace = trace_for("bitcount", "large")
+        decoded = decode_binary(trace.binary)
+        model = model_class()
+        start = time.perf_counter()
+        py = model.replay(trace, decoded)
+        t_py = time.perf_counter() - start
+        kernels.replay_trace(model, trace, decoded)  # warm pack and memo
+        start = time.perf_counter()
+        fast = kernels.replay_trace(model, trace, decoded)
+        t_np = time.perf_counter() - start
+        assert py == fast
+        assert t_py / t_np >= 10.0, (t_py, t_np)
 
 
 def _mutated(trace: ExecutionTrace, seed: int) -> ExecutionTrace:

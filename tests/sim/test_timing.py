@@ -108,7 +108,7 @@ class TestInOrder:
         scheduled machine gains a lot from compiler optimization and
         stays the slowest machine even at -O2.  (The stronger
         "gains *more* than x86" claim is suite-level and asserted by
-        benchmarks/bench_fig11_machines.py.)"""
+        tests/experiments/test_paper_shapes.py::test_fig11.)"""
         o0 = run_source(loopy_source, isa=ITANIUM2.isa.name, opt_level=0)
         o2 = run_source(loopy_source, isa=ITANIUM2.isa.name, opt_level=2)
         speedup = ITANIUM2.runtime_seconds(o0) / ITANIUM2.runtime_seconds(o2)

@@ -1,7 +1,9 @@
 """Large-input golden tests for the cheaper workloads.
 
-(The heavyweights — susan, jpeg, dijkstra — are exercised with their
-large inputs by the benchmark harness instead.)
+(The heavyweights — susan, jpeg, dijkstra — run their large inputs in
+the gated full-suite equivalence sweeps, ``REPRO_EXEC_EQUIV_ALL=1`` and
+``REPRO_KERNEL_EQUIV_ALL=1``, and dijkstra/large also in
+tests/experiments/test_paper_shapes.py.)
 """
 
 import pytest
