@@ -56,7 +56,8 @@ from pathlib import Path
 #: old entries then become unreachable instead of silently wrong.
 #: 2: TimingResult grew mem_lat_hist/branch_run_hist snapshot fields.
 #: 3: compile artifacts hold binary + opt_stats only.
-SCHEMA_VERSION = 3
+#: 4: run artifacts hold packed (narrow typed array) trace buffers.
+SCHEMA_VERSION = 4
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"

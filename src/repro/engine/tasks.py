@@ -200,13 +200,12 @@ _ABLATION_CACHE_BYTES = 8 * 1024
 
 def _fidelity_metrics(trace) -> dict:
     """What the ablation compares a clone to its original on."""
-    from repro.sim.branch import HybridPredictor, simulate_predictor
+    from repro.sim.branch import hybrid_accuracy
     from repro.sim.cache import sweep_cache_sizes
 
     return {
         "mix": trace.instruction_mix().paper_mix(),
-        "branch_accuracy": simulate_predictor(trace.branch_log,
-                                              HybridPredictor()).accuracy,
+        "branch_accuracy": hybrid_accuracy(trace.branch_log),
         "cache_hit_rate": sweep_cache_sizes(
             trace.mem_addrs, [_ABLATION_CACHE_BYTES])[_ABLATION_CACHE_BYTES],
     }

@@ -86,6 +86,9 @@ def main(argv=None) -> int:
              "(inspect with repro-trace summary/export)",
     )
     args = parser.parse_args(argv)
+    if args.target_instructions < 1:
+        parser.error("--target-instructions must be >= 1, got "
+                     f"{args.target_instructions}")
 
     metrics = tracer = None
     if args.trace:

@@ -3,6 +3,11 @@
 Hybrid (bimodal + gshare + chooser) predictor accuracy per benchmark,
 original vs synthetic, at -O0 and -O2.  The paper's marker: adpcm is the
 most predictor-sensitive benchmark, in both originals and clones.
+
+Accuracies come from the replay kernels' vectorised predictor
+(:func:`repro.sim.branch.hybrid_accuracy`), which reads the packed
+branch log zero-copy and equals a fresh
+:class:`~repro.sim.branch.HybridPredictor`'s.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.runner import ExperimentRunner, QUICK_PAIRS, format_table
-from repro.sim.branch import HybridPredictor, simulate_predictor
+from repro.sim.branch import hybrid_accuracy
 
 
 @dataclass
@@ -57,14 +62,13 @@ def run_fig09(
                     if side == "ORG"
                     else runner.synthetic_trace(workload, input_name, isa, level)
                 )
-                outcome = simulate_predictor(trace.branch_log, HybridPredictor())
                 result.rows.append(
                     {
                         "workload": workload,
                         "input": input_name,
                         "level": level,
                         "side": side,
-                        "accuracy": outcome.accuracy,
+                        "accuracy": hybrid_accuracy(trace.branch_log),
                     }
                 )
     return result

@@ -419,6 +419,9 @@ def main(argv=None) -> int:
             _parse_pairs(args.pairs)
         except UnknownWorkloadError as exc:
             parser.error(str(exc))
+        if args.target_instructions < 1:
+            parser.error("--target-instructions must be >= 1, got "
+                         f"{args.target_instructions}")
     if args.command == "run":
         # Mirror DesignSpace.sample's uniform validation as usage errors.
         if args.seed is not None and args.sample != "random":
@@ -428,6 +431,8 @@ def main(argv=None) -> int:
                 parser.error("--stride only applies to --sample grid")
             if args.stride < 1:
                 parser.error(f"--stride must be >= 1, got {args.stride}")
+        if args.n is not None and args.n < 1:
+            parser.error(f"--n must be >= 1, got {args.n}")
     if args.command == "search" and args.budget < 1:
         parser.error(f"--budget must be >= 1, got {args.budget}")
     return args.func(args)

@@ -6,23 +6,22 @@ the paper's Fig. 7 sweep) and is classified into one of the nine Table I
 miss-rate classes, which map to byte strides 0..32 assuming 32-byte lines.
 
 Additionally, per-instruction miss rates are measured at every sweep size:
-one :func:`repro.sim.cache.lru_hits` replay of the trace per size gives
-per-access hit flags, and one walk over the accesses that missed somewhere
-attributes the misses to their instructions.  The smallest cache at which
-an access stops missing estimates its working set, which the synthesizer
-uses to size the stride-walk arrays.
+one :func:`repro.sim.cache.lru_sweep` over the trace's packed address
+stream gives one hit-flag row per size, and one ``np.bincount`` per row
+attributes its misses to the instructions that issued them.  The smallest
+cache at which an instruction stops missing estimates its working set,
+which the synthesizer uses to size the stride-walk arrays.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import and_
+
+import numpy as np
 
 from repro.isa.machine import Binary
-from repro.sim.cache import CacheConfig, lru_hits
-from repro.sim.trace import ExecutionTrace
+from repro.sim.cache import CacheConfig, lru_sweep
+from repro.sim.trace import ExecutionTrace, as_array
 
 # Table I: class index -> stride in bytes (32-byte line, 32-bit words).
 MISS_CLASS_STRIDES = (0, 4, 8, 12, 16, 20, 24, 28, 32)
@@ -84,12 +83,33 @@ class MemoryProfile:
         return sum(s.accesses for s in self.stats.values())
 
 
-def _memory_uids_per_block(binary: Binary) -> list[list[int]]:
-    per_block: list[list[int]] = []
+def _access_uids(binary: Binary, block_seq) -> tuple[list[int], np.ndarray]:
+    """The binary's memory-instruction uids, and per access of a trace
+    with block sequence *block_seq* the index of its uid in that list."""
+    slot_uids: list[int] = []
+    per_block = []
     for func_idx, blk_idx in binary.block_map:
         block = binary.functions[func_idx].blocks[blk_idx]
-        per_block.append([ins.uid for ins in block.instrs if ins.is_memory])
-    return per_block
+        uids = [ins.uid for ins in block.instrs if ins.is_memory]
+        per_block.append(len(uids))
+        slot_uids.extend(uids)
+    uids, slot_index = np.unique(np.asarray(slot_uids, dtype=np.int64),
+                                 return_inverse=True)
+    nmem = np.asarray(per_block, dtype=np.int64)
+    first_slot = np.concatenate(([0], np.cumsum(nmem)[:-1]))
+    blocks = as_array(block_seq)
+    counts = nmem[blocks]
+    # Access j of block occurrence b is slot first_slot[b] + (j - start[b]).
+    starts = np.cumsum(counts) - counts
+    slots = (np.repeat(first_slot[blocks] - starts, counts)
+             + np.arange(int(counts.sum()), dtype=np.int64))
+    return uids.tolist(), slot_index.reshape(-1)[slots]
+
+
+def _first_positions(index: np.ndarray, positions: np.ndarray) -> dict:
+    """``{index value: first position}`` over parallel arrays."""
+    values, first = np.unique(index, return_index=True)
+    return dict(zip(values.tolist(), positions[first].tolist()))
 
 
 def profile_memory(
@@ -100,33 +120,39 @@ def profile_memory(
     line_bytes: int = 32,
     associativity: int = 4,
 ) -> MemoryProfile:
-    """Replay the memory trace once per sweep size, attributing each
-    miss to the instruction that issued it."""
-    uids_per_block = _memory_uids_per_block(binary)
-    uids = [uid for gbid in trace.block_seq for uid in uids_per_block[gbid]]
-    addrs = trace.mem_addrs
+    """Replay the memory trace through every sweep size in one
+    :func:`lru_sweep`, attributing each miss to the instruction that
+    issued it."""
+    uids, access_uid = _access_uids(binary, trace.block_seq)
+    sweep_sizes = list(sweep_sizes)
+    rows = lru_sweep(trace.mem_addrs, [
+        CacheConfig(size, line_bytes, associativity) for size in sweep_sizes])
+    total = len(trace.mem_addrs)
     profile = MemoryProfile(profile_size=profile_size)
-    rows = []
-    for size in sweep_sizes:
-        hits = lru_hits(addrs, CacheConfig(size, line_bytes, associativity))
+    for size, row in zip(sweep_sizes, rows):
         profile.hit_rates_by_size[size] = (
-            hits.count(1) / len(hits) if hits else 1.0)
-        rows.append((size, hits))
+            int(np.count_nonzero(row)) / total if total else 1.0)
+    positions = np.arange(access_uid.size)
+    accesses = np.bincount(access_uid, minlength=len(uids)).tolist()
+    first_access = _first_positions(access_uid, positions)
     stats = profile.stats
-    for uid, count in Counter(uids).items():  # first-access order
-        stats[uid] = MemoryStats(uid=uid, accesses=count,
+    for index in sorted(first_access, key=first_access.get):
+        uid = uids[index]
+        stats[uid] = MemoryStats(uid=uid, accesses=accesses[index],
                                  profile_size=profile_size)
-    if rows:
-        # Only accesses that miss at some size need walking: AND-ing the
-        # flag rows as big integers leaves a zero byte at exactly those.
-        hit_everywhere = reduce(
-            and_, (int.from_bytes(hits, "little") for _, hits in rows)
-        ).to_bytes(len(addrs), "little")
-        i = hit_everywhere.find(0)
-        while i >= 0:
-            misses = stats[uids[i]].misses_by_size
-            for size, hits in rows:
-                if not hits[i]:
-                    misses[size] = misses.get(size, 0) + 1
-            i = hit_everywhere.find(0, i + 1)
+    # Per instruction, the sizes it missed at, in the order its misses
+    # first happened (ties in sweep order): a dict's key order is part
+    # of the pickled profile.
+    missed: dict[int, list] = {}
+    for k, (size, row) in enumerate(zip(sweep_sizes, rows)):
+        miss_at = np.flatnonzero(row == 0)
+        miss_uid = access_uid[miss_at]
+        counts = np.bincount(miss_uid, minlength=len(uids))
+        for index, first in _first_positions(miss_uid, miss_at).items():
+            missed.setdefault(index, []).append(
+                (first, k, size, int(counts[index])))
+    for index, entries in missed.items():
+        misses = stats[uids[index]].misses_by_size
+        for _, _, size, count in sorted(entries):
+            misses[size] = misses.get(size, 0) + count
     return profile

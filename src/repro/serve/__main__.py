@@ -125,7 +125,10 @@ def main(argv=None) -> int:
     if not argv or argv[0] not in ("run", "submit", "stats",
                                    "-h", "--help"):
         argv = ["run"] + argv
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not 0 <= args.port <= 65535:
+        parser.error(f"--port must be in 0..65535, got {args.port}")
     if args.command == "run":
         return _serve(args)
     if args.command == "submit":

@@ -4,13 +4,16 @@ predictors, timing models and machine configurations.
 The functional simulator stands in for real hardware + Pin; it executes a
 linked :class:`repro.isa.machine.Binary` and records an
 :class:`ExecutionTrace` (dynamic block sequence + data addresses + branch
-outcomes).  Everything downstream is trace-driven:
+outcomes, packed into narrow typed arrays).  Everything downstream is
+trace-driven:
 
 * :mod:`repro.sim.cache` — set-associative LRU caches: the one stream
-  kernel (``lru_hits``) behind memory profiling, the multi-size sweeps
-  (Figs. 7, 8, 10) and the replay kernels' L1/L2 latency codes, plus
-  the per-access ``Cache`` the python timing models drive;
-* :mod:`repro.sim.branch` — bimodal / gshare / hybrid predictors (Fig. 9);
+  kernel (``lru_sweep``) behind memory profiling, the multi-size sweeps
+  (Figs. 7, 8) and the replay kernels' L1/L2 latency codes, plus the
+  per-access ``Cache`` the python timing models drive;
+* :mod:`repro.sim.branch` — bimodal / gshare / hybrid predictors, the
+  reference for the replay kernels' predictor (Fig. 9 runs on the
+  kernel);
 * :mod:`repro.sim.timing_common` — the shared replay core: decoded
   binaries (weakly cached, one decode per live binary),
   ``TimingConfig``/``TimingResult``, and the ``TimingModel`` base the

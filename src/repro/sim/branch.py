@@ -4,6 +4,10 @@ The paper evaluates branch behaviour with PTLSim's hybrid predictor — a
 bimodal component plus a history-based component with a meta chooser.  We
 implement exactly that trio and drive it from the recorded branch-outcome
 stream (``uid`` plays the role of the branch PC).
+
+:func:`simulate_predictor` replays a log through these classes one branch
+at a time; :func:`hybrid_accuracy` gets the same accuracy from the replay
+kernels' vectorised predictor, and is what the figures use.
 """
 
 from __future__ import annotations
@@ -124,6 +128,22 @@ class PredictorResult:
     @property
     def misses(self) -> int:
         return self.branches - self.correct
+
+
+def hybrid_accuracy(branch_log) -> float:
+    """Accuracy of a fresh :class:`HybridPredictor` over a packed
+    ``(uid << 1) | taken`` log, computed by the replay kernels'
+    vectorised predictor; :func:`simulate_predictor` is the reference
+    loop the tests pin it against."""
+    # Deferred: the kernels module is large and only this call needs it.
+    from repro.sim.kernels import _predictor_sim
+    from repro.sim.trace import as_array
+
+    br = as_array(branch_log)
+    if not br.size:
+        return 1.0
+    _, hits, _ = _predictor_sim(br, 4096)
+    return hits / br.size
 
 
 def simulate_predictor(branch_log, predictor=None) -> PredictorResult:

@@ -2,13 +2,14 @@
 
 Two implementations of one LRU level live here:
 
-* :func:`lru_hits`, the stream kernel: it replays a whole recorded
-  address stream and returns one hit flag per access.  Every stream
-  consumer is built on it, one call per cache configuration:
-  per-instruction Table I classification during profiling
-  (:mod:`repro.profiling.memory_profile`), Figs. 7/8's hit-rate-vs-size
-  sweeps (:func:`sweep_cache_sizes`) and the L1/L2 latency codes of the
-  batched replay kernel (:mod:`repro.sim.kernels`);
+* :func:`lru_sweep`, the stream kernel: it replays a whole recorded
+  address stream through one or more cache configurations and returns
+  one hit-flag row per configuration.  Every stream consumer is built
+  on it: per-instruction Table I classification during profiling
+  (:mod:`repro.profiling.memory_profile`) and Figs. 7/8's
+  hit-rate-vs-size sweeps (:func:`sweep_cache_sizes`) run every size
+  in one call, the batched replay kernel (:mod:`repro.sim.kernels`) one
+  call per level for its L1/L2 latency codes;
 * :class:`Cache`, the per-access reference model the python timing
   models drive access by access; the tests pin the kernel against it.
 """
@@ -17,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs.metrics import ExpHistogram
+from repro.sim.trace import as_array
 
 
 @dataclass(frozen=True)
@@ -100,35 +104,63 @@ def simulate_cache(addresses, config: CacheConfig) -> Cache:
     return cache
 
 
-def lru_hits(addresses, config: CacheConfig) -> bytearray:
-    """One hit flag (1 = hit) per access of *addresses* through one fresh
-    LRU level — the flags :meth:`Cache.access` would return, access by
-    access.
+def lru_sweep(addresses, configs) -> np.ndarray:
+    """One hit-flag row (1 = hit) per configuration of *configs*: row
+    ``k`` holds the flags :meth:`Cache.access` would return for each
+    access of *addresses* through a fresh ``Cache(configs[k])``.
 
-    A repeat of the line just touched is a guaranteed hit on the
-    most-recently-used way and leaves the LRU order unchanged, so it
-    keeps its hit flag without touching the sets.
+    Only the accesses whose outcome needs the LRU state are walked.  A
+    repeat of the last line touched *in its own set* is a hit on that
+    set's most-recently-used way and leaves the LRU order unchanged, so
+    it keeps its hit flag without a walk.  Two vectorised passes find
+    those repeats: one over the whole stream at the finest line size of
+    *configs* (a repeat there repeats in every set of every
+    configuration), then one per configuration over the survivors,
+    grouped by set index.  What is left is walked in program order in
+    python, one configuration at a time.
     """
-    shift = config.line_bytes.bit_length() - 1
-    num_sets = config.num_sets
-    assoc = config.associativity
-    sets = [dict() for _ in range(num_sets)]
-    hits = bytearray(b"\x01") * len(addresses)
-    last = None
-    for i, addr in enumerate(addresses):
-        line = addr >> shift
-        if line == last:
-            continue
-        last = line
-        ways = sets[line % num_sets]
-        # The pop is the lookup: a hit takes the line out for re-insertion
-        # at the MRU end, a miss returns the default.
-        if ways.pop(line, True):
-            hits[i] = 0
-            if len(ways) >= assoc:
-                del ways[next(iter(ways))]
-        ways[line] = None
-    return hits
+    stream = as_array(addresses)
+    n = stream.size
+    rows = np.ones((len(configs), n), dtype=np.uint8)
+    if n == 0 or not configs:
+        return rows
+    finest = min(config.line_bytes for config in configs)
+    lines = stream >> (finest.bit_length() - 1)
+    new_line = np.empty(n, dtype=bool)
+    new_line[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=new_line[1:])
+    kept = np.flatnonzero(new_line)
+    # Widened once: set arithmetic in a uint8/uint16 stream's own dtype
+    # overflows on a divisor past its range.
+    kept_addrs = stream[kept].astype(np.int64)
+    for row, config in zip(rows, configs):
+        lines = kept_addrs >> (config.line_bytes.bit_length() - 1)
+        num_sets = config.num_sets
+        if num_sets & (num_sets - 1):
+            set_of = lines % num_sets
+        else:  # same sets, ~6x faster than an int64 %
+            set_of = lines & (num_sets - 1)
+        if num_sets <= 1 << 16:  # uint16 keys take numpy's radix sort
+            set_of = set_of.astype(np.uint16)
+        order = np.argsort(set_of, kind="stable")
+        by_set = set_of[order]
+        by_line = lines[order]
+        walk = np.ones(kept.size, dtype=bool)
+        walk[order[1:]] = ((by_set[1:] != by_set[:-1])
+                           | (by_line[1:] != by_line[:-1]))
+        walked = np.flatnonzero(walk)
+        hits = bytearray(b"\x01") * walked.size
+        sets = [dict() for _ in range(num_sets)]
+        assoc = config.associativity
+        for i, line in enumerate(lines[walked].tolist()):
+            ways = sets[line % num_sets]
+            if ways.pop(line, True):
+                hits[i] = 0
+                if len(ways) >= assoc:
+                    del ways[next(iter(ways))]
+            ways[line] = None
+        row[kept[walked]] = np.frombuffer(hits, dtype=np.uint8)
+    return rows
 
 
 def sweep_cache_sizes(
@@ -139,13 +171,12 @@ def sweep_cache_sizes(
 ) -> dict[int, float]:
     """Hit rate per cache size for one recorded address stream.
 
-    One :func:`lru_hits` replay per size; pinned against per-config
+    One :func:`lru_sweep` over every size; pinned against per-config
     :class:`Cache` replays by the regression suite.
     """
     total = len(addresses)
-    results = {}
-    for size in sizes_bytes:
-        hits = lru_hits(addresses,
-                        CacheConfig(size, line_bytes, associativity))
-        results[size] = hits.count(1) / total if total else 1.0
-    return results
+    sizes_bytes = list(sizes_bytes)
+    rows = lru_sweep(addresses, [CacheConfig(size, line_bytes, associativity)
+                                 for size in sizes_bytes])
+    return {size: int(np.count_nonzero(row)) / total if total else 1.0
+            for size, row in zip(sizes_bytes, rows)}

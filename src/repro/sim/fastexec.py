@@ -16,10 +16,11 @@ Three layers:
    Python recursion (a ``RecursionError`` falls back to the reference
    interpreter).
 
-2. **Packed trace buffers** — the dynamic block sequence and the memory
+2. **Batched trace buffers** — the dynamic block sequence and the memory
    address stream are recorded as constant-tuple ``list.extend`` batches
-   per straight-line region instead of one ``list.append`` per event; the
-   trace is adopted zero-copy via :meth:`ExecutionTrace.from_buffers`.
+   per straight-line region instead of one ``list.append`` per event;
+   :meth:`ExecutionTrace.from_buffers` then packs each list once into
+   the narrowest typed array that holds it.
 
 3. **Architectural segment memoization** — innermost call-free loops are
    *anchored* (PR 8's loop-header segmentation applied to architectural

@@ -13,7 +13,7 @@ vectorize exactly and a part that cannot:
   per-access memory latencies and per-branch mispredict bits are
   precomputed up front — latency codes by :func:`_cache_sim`, which
   runs the shared LRU stream kernel
-  (:func:`repro.sim.cache.lru_hits`) over L1 and then over the L1
+  (:func:`repro.sim.cache.lru_sweep`) over L1 and then over the L1
   misses for L2, and mispredicts by :func:`_predictor_sim` — and the
   hit/miss/accuracy scalars plus both exp-histograms are reconstructed
   from those arrays without ever running the cycle loop.
@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.metrics import bucket_index
-from repro.sim.cache import lru_hits
+from repro.sim.cache import lru_sweep
 from repro.sim.timing_common import TimingResult
+from repro.sim.trace import as_array
 
 # Packed-op flag bits (see _build_program).
 _F_MEM = 1       # touches memory (consumes one mem_addrs slot)
@@ -184,8 +185,8 @@ class _TracePack:
 
     bs: "np.ndarray"            # block sequence, int64
     bs_list: list               # same, as a python list (interpreter-fast)
-    mem: "np.ndarray"           # byte addresses, int64
-    br: "np.ndarray"            # packed (uid << 1) | taken, int64
+    mem: "np.ndarray"           # byte addresses (the trace's buffer)
+    br: "np.ndarray"            # (uid << 1) | taken (the trace's buffer)
     mem_prefix: "np.ndarray"    # mem ops before block position i (len+1)
     br_prefix: "np.ndarray"     # branches before block position i (len+1)
     ins_prefix: "np.ndarray"    # instructions before block position i (len+1)
@@ -340,9 +341,12 @@ def _segment_cuts(bs, header_gbids):
 
 def _trace_pack(trace, stat: _BinaryStat) -> _TracePack:
     def build(_trace):
-        bs = np.asarray(_trace.block_seq, dtype=np.int64)
-        mem = np.asarray(_trace.mem_addrs, dtype=np.int64)
-        br = np.asarray(_trace.branch_log, dtype=np.int64)
+        # The block sequence widens to int64: segment-memo keys are its
+        # raw bytes, shared across every trace of one binary, so all of
+        # them must use one width.  The streams are read zero-copy.
+        bs = as_array(_trace.block_seq).astype(np.int64)
+        mem = as_array(_trace.mem_addrs)
+        br = as_array(_trace.branch_log)
         if bs.size:
             mem_counts = stat.nmem[bs]
             br_counts = stat.nbr[bs]
@@ -411,30 +415,18 @@ def _cache_sim(mem, config):
 
     Returns ``(codes, l1_hits, l1_misses)`` where ``codes[i]`` is 0 for
     an L1 hit, 1 for an L2 hit and 2 for a memory access — exactly the
-    latency class the python models resolve per access.  Consecutive
-    accesses to one L1 line are collapsed before the LRU replay (the
-    repeat is a guaranteed hit on the most-recently-used way, so codes
-    and LRU state are unchanged by simulating only the first access of
-    each run); :func:`~repro.sim.cache.lru_hits` then replays the kept
-    addresses through L1, and the L1 misses through L2.
+    latency class the python models resolve per access.
+    :func:`~repro.sim.cache.lru_sweep` replays the address stream
+    through L1, and the L1 misses through L2.
     """
     n = mem.size
     codes = np.zeros(n, dtype=np.uint8)
     if n == 0:
         return codes, 0, 0
-    l1 = config.l1
-    lines1 = mem >> (l1.line_bytes.bit_length() - 1)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(lines1[1:], lines1[:-1], out=keep[1:])
-    kept = np.flatnonzero(keep)
-    l1_hit = np.frombuffer(lru_hits(mem[kept].tolist(), l1), dtype=np.uint8)
-    missed = kept[l1_hit == 0]
+    missed = np.flatnonzero(lru_sweep(mem, [config.l1])[0] == 0)
     codes[missed] = 2
     if config.l2 is not None:
-        l2_hit = np.frombuffer(lru_hits(mem[missed].tolist(), config.l2),
-                               dtype=np.uint8)
-        codes[missed] -= l2_hit
+        codes[missed] -= lru_sweep(mem[missed], [config.l2])[0]
     return codes, n - missed.size, missed.size
 
 
@@ -471,12 +463,13 @@ _STEP_ID = _encode_map([0, 1, 2, 3])      # chooser tie: unchanged
 _RESET = _encode_map([2, 2, 2, 2])        # constant: fresh counter at 2
 
 # _COMP[a, b] = encode(f_b . f_a): apply a's map, then b's.
-_DECODE = (np.arange(256)[:, None] >> (2 * np.arange(4))) & 3  # [code, s]
-_COMPOSED = _DECODE[np.arange(256)[None, :, None], _DECODE[:, None, :]]
+_DECODE = (np.arange(256, dtype=np.uint8)[:, None]
+           >> (2 * np.arange(4, dtype=np.uint8))) & 3  # [code, s]
 _COMP = np.zeros((256, 256), dtype=np.uint8)
 for _s in range(4):
-    _COMP |= (_COMPOSED[:, :, _s] << (2 * _s)).astype(np.uint8)
-del _s, _COMPOSED
+    # Output bits of state _s: f_b(f_a(_s)), for every (a, b) at once.
+    _COMP |= _DECODE[:, _DECODE[:, _s]].T << (2 * _s)
+del _s
 _STEP_BY_DELTA = np.array([_STEP_DOWN, _STEP_ID, _STEP_UP], dtype=np.uint8)
 
 

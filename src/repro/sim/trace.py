@@ -4,10 +4,18 @@ An :class:`ExecutionTrace` is the single artifact a functional run
 produces; instruction mixes, block/edge counts, branch outcome streams and
 memory address streams are all derived from it offline — the same
 "profile once, analyze many times" structure the paper gets from Pin.
+
+A trace is *packed*: its three event streams are :class:`array.array`
+buffers of the narrowest unsigned type that holds every value (uint8,
+uint16 or uint32; int64 past 32 bits or below 0), narrowed once when the trace
+is built (:func:`pack_buffer`).  They pickle as raw bytes, iterate as
+python ints for the pure-python consumers, and numpy reads them
+zero-copy through :func:`as_array`.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -57,6 +65,42 @@ class InstructionMix:
         }
 
 
+#: The unsigned typecodes a buffer packs into, narrowest first.
+_NARROW_FIRST = ("B", "H", "I")
+_CODE_MAX = {code: (1 << (8 * array(code).itemsize)) - 1
+             for code in _NARROW_FIRST}
+
+
+def pack_buffer(values) -> array:
+    """*values* (non-negative ints) as the narrowest unsigned array.
+
+    One C-level pass converts to C ``unsigned long`` (the fastest
+    conversion :mod:`array` has); a numpy max over that buffer then
+    picks uint8, uint16 or uint32, and only values past 32 bits keep
+    int64.
+    """
+    try:
+        wide = array("L", values)
+    except OverflowError:  # a negative value (or one past 64 bits)
+        return array("q", values)
+    if not wide:
+        return array("B")
+    view = np.frombuffer(wide, dtype=wide.typecode)
+    top = int(view.max())
+    for code in _NARROW_FIRST:
+        if top <= _CODE_MAX[code]:
+            return array(code, view.astype(code).tobytes())
+    return array("q", values)
+
+
+def as_array(buffer) -> np.ndarray:
+    """Zero-copy numpy view of one packed trace buffer (any other
+    sequence goes through :func:`numpy.asarray`)."""
+    if isinstance(buffer, array):
+        return np.frombuffer(buffer, dtype=buffer.typecode)
+    return np.asarray(buffer)
+
+
 def _block_klass_matrix(binary: Binary) -> np.ndarray:
     """(num_blocks x num_klasses) static instruction counts, cached."""
     cached = getattr(binary, "_klass_matrix", None)
@@ -73,15 +117,25 @@ def _block_klass_matrix(binary: Binary) -> np.ndarray:
 
 @dataclass
 class ExecutionTrace:
-    """Record of one functional simulation."""
+    """Record of one functional simulation.
+
+    The three streams are packed on construction (:func:`pack_buffer`),
+    so a trace built from lists holds the same arrays as one built by
+    :meth:`from_buffers`.
+    """
 
     binary: Binary
-    block_seq: list[int]
-    mem_addrs: list[int]  # byte addresses, program order
-    branch_log: list[int]  # (uid << 1) | taken
+    block_seq: array  # global block ids, program order
+    mem_addrs: array  # byte addresses, program order
+    branch_log: array  # (uid << 1) | taken
     output: str
     exit_value: int | float
     instructions: int
+
+    def __post_init__(self) -> None:
+        self.block_seq = pack_buffer(self.block_seq)
+        self.mem_addrs = pack_buffer(self.mem_addrs)
+        self.branch_log = pack_buffer(self.branch_log)
 
     @classmethod
     def from_buffers(
@@ -94,11 +148,11 @@ class ExecutionTrace:
         exit_value: int | float,
         instructions: int,
     ) -> "ExecutionTrace":
-        """Zero-copy finalize: adopt the engine's recording buffers.
+        """Finalize a run from the engine's recording buffers.
 
-        Both execution engines append into plain lists while running and
-        hand them over here unchanged — no per-event conversion happens at
-        trace-construction time.
+        Both execution engines append into plain lists while running;
+        each list is narrowed here once, in one C-level pass, into the
+        packed array every consumer reads.
         """
         return cls(
             binary=binary,
@@ -121,17 +175,15 @@ class ExecutionTrace:
         matrix = _block_klass_matrix(self.binary)
         if not self.block_seq:
             return InstructionMix({})
-        seq = np.asarray(self.block_seq, dtype=np.int64)
-        totals = matrix[seq].sum(axis=0)
+        counts = np.bincount(as_array(self.block_seq), minlength=len(matrix))
+        totals = counts @ matrix
         return InstructionMix(
             {name: int(totals[i]) for i, name in enumerate(KLASS_NAMES) if totals[i]}
         )
 
     def branch_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
         """(uids, taken) arrays for every dynamic conditional branch."""
-        if not self.branch_log:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        log = np.asarray(self.branch_log, dtype=np.int64)
+        log = as_array(self.branch_log).astype(np.int64)
         return log >> 1, log & 1
 
     def edge_counts(self) -> Counter:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.cc.driver import compile_program
 from repro.profiling.profile import StatisticalProfile
-from repro.sim.branch import HybridPredictor, simulate_predictor
+from repro.sim.branch import hybrid_accuracy
 from repro.sim.cache import sweep_cache_sizes
 from repro.sim.functional import run_binary
 from repro.sim.trace import ExecutionTrace
@@ -51,10 +51,6 @@ class FidelityReport:
         return self.score >= threshold
 
 
-def _branch_accuracy(branch_log) -> float:
-    return simulate_predictor(branch_log, HybridPredictor()).accuracy
-
-
 def validate_clone(
     profile: StatisticalProfile,
     clone: SyntheticBenchmark,
@@ -83,9 +79,9 @@ def validate_clone(
     )
     cache_distance = abs(clone_hit - original_hit)
     # Branch distance.
-    clone_accuracy = _branch_accuracy(trace.branch_log)
+    clone_accuracy = hybrid_accuracy(trace.branch_log)
     if original_trace is not None:
-        original_accuracy = _branch_accuracy(original_trace.branch_log)
+        original_accuracy = hybrid_accuracy(original_trace.branch_log)
     else:
         # Easy branches predict ~99%, hard ones ~75%: first-order guess.
         hard = profile.branches.hard_fraction()

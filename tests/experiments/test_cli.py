@@ -186,6 +186,15 @@ class TestMainCli:
             main(["--figures", "nope"])
         assert "unknown figures" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["0", "-5"])
+    def test_target_instructions_below_one_is_usage_error(self, capsys,
+                                                          target):
+        with pytest.raises(SystemExit) as exc:
+            main(["--target-instructions", target])
+        assert exc.value.code == 2
+        assert f"--target-instructions must be >= 1, got {target}" in \
+            capsys.readouterr().err
+
 
 class TestPairsOverride:
     SYNTH = "synth:s5-int-f64-d1-t3-e20-c1"

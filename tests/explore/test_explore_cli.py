@@ -159,6 +159,22 @@ class TestRunSampleFlagValidation:
             main(["run", "--preset", "smoke", "--stride", "0"])
         assert "--stride" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_usage_error(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "smoke", "--n", n])
+        assert exc.value.code == 2
+        assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["search", "smoke"]])
+    def test_target_instructions_below_one_is_usage_error(self, capsys,
+                                                          command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--target-instructions", "0"])
+        assert exc.value.code == 2
+        assert "--target-instructions must be >= 1" in \
+            capsys.readouterr().err
+
 
 class TestQueryRankCompare:
     @pytest.fixture(autouse=True)

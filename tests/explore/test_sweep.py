@@ -32,8 +32,10 @@ def db(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def engine():
-    return Engine()
+def engine(tmp_path_factory):
+    # A module fixture is built before the function-scoped store fixture
+    # sets REPRO_CACHE_DIR, so the session store is named here.
+    return Engine(cache_dir=tmp_path_factory.getbasetemp() / "repro-cache")
 
 
 class TestScoring:

@@ -1,14 +1,21 @@
 """Cache model tests, including the LRU stack property."""
 
+from array import array
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.cache import (
     Cache,
     CacheConfig,
-    lru_hits,
+    lru_sweep,
     simulate_cache,
     sweep_cache_sizes,
 )
+
+
+def _hits(addrs, config) -> bytearray:
+    return bytearray(lru_sweep(addrs, [config])[0].tobytes())
 
 
 class TestBasicBehaviour:
@@ -127,7 +134,7 @@ class TestSweep:
     def test_sweep_matches_per_config_cache_replay(self, runs, line,
                                                    assoc):
         """Pin the stream kernel against a per-config :class:`Cache`
-        replay of the same stream: ``lru_hits`` flag by flag, and the
+        replay of the same stream: ``lru_sweep`` flag by flag, and the
         sweep's hit rates exactly, for every size.  Addresses span 2 KB,
         so lines are reused and evicted at the small sizes, and each
         repeats 1-3 times in a row (byte offsets within its line), so
@@ -140,7 +147,7 @@ class TestSweep:
             config = CacheConfig(size, line, assoc)
             cache = Cache(config)
             expected = bytearray(cache.access(addr) for addr in addrs)
-            assert lru_hits(addrs, config) == expected, (size, line, assoc)
+            assert _hits(addrs, config) == expected, (size, line, assoc)
             assert swept[size] == cache.hit_rate, (size, line, assoc)
 
     @settings(max_examples=40, deadline=None)
@@ -155,13 +162,56 @@ class TestSweep:
         associativity, an access that hits with S sets also hits with 2S
         sets (each big-cache set holds a refinement of a small-cache
         set's lines)."""
-        small = lru_hits(addrs, CacheConfig(sets * line * assoc, line, assoc))
-        big = lru_hits(addrs, CacheConfig(2 * sets * line * assoc, line,
-                                          assoc))
+        small = _hits(addrs, CacheConfig(sets * line * assoc, line, assoc))
+        big = _hits(addrs, CacheConfig(2 * sets * line * assoc, line, assoc))
         assert all(b >= s for s, b in zip(small, big))
 
     def test_sweep_empty_stream_reports_unit_hit_rate(self):
         assert sweep_cache_sizes([], [1024]) == {1024: 1.0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 1 << 13), st.integers(1, 3)),
+                 max_size=300),
+        st.lists(st.tuples(st.sampled_from([64, 96, 256, 1000, 3072, 8192]),
+                           st.sampled_from([8, 16, 32, 64]),
+                           st.integers(1, 5)),
+                 min_size=1, max_size=5),
+        st.sampled_from([None, "H", "I"]),
+    )
+    def test_lru_sweep_rows_match_per_config_cache(self, runs, shapes,
+                                                   typecode):
+        """Every row of one sweep equals a fresh :class:`Cache`'s flags
+        for its own config, whatever the config list: mixed line sizes
+        and associativities, non-doubling and non-power-of-two sizes,
+        repeats, and empty streams; over a list or a packed array."""
+        addrs = [addr + k for addr, reps in runs for k in range(reps)]
+        configs = [CacheConfig(size, line, assoc)
+                   for size, line, assoc in shapes]
+        stream = array(typecode, addrs) if typecode else addrs
+        rows = lru_sweep(stream, configs)
+        assert rows.shape == (len(configs), len(addrs))
+        for row, config in zip(rows, configs):
+            cache = Cache(config)
+            assert row.tolist() == [int(cache.access(a)) for a in addrs], \
+                config
+
+    @pytest.mark.parametrize("typecode", ["B", "H"])
+    def test_lru_sweep_narrow_stream_with_many_sets(self, typecode):
+        """A uint8/uint16 stream swept through configs whose set counts
+        do not fit its dtype (512 sets; 131072 sets) matches per-config
+        :class:`Cache` flags."""
+        top = 0xFF if typecode == "B" else 0xFFFF
+        addrs = [(i * 37) % (top + 1) for i in range(600)] + [0, top, 8]
+        configs = [CacheConfig(512 * 8, 8, 1), CacheConfig(1 << 20, 8, 1)]
+        rows = lru_sweep(array(typecode, addrs), configs)
+        for row, config in zip(rows, configs):
+            cache = Cache(config)
+            assert row.tolist() == [int(cache.access(a)) for a in addrs], \
+                config
+
+    def test_lru_sweep_without_configs_is_empty(self):
+        assert lru_sweep([0, 32], []).shape == (0, 2)
 
 
 class TestLatencyHistogram:

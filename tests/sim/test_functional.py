@@ -184,8 +184,8 @@ class TestTraceContents:
     def test_no_trace_mode_skips_logs(self, fib_source):
         binary = compile_program(fib_source).binary
         trace = Simulator(binary).run(collect_trace=False)
-        assert trace.block_seq == []
-        assert trace.mem_addrs == []
+        assert len(trace.block_seq) == 0
+        assert len(trace.mem_addrs) == 0
         assert trace.output  # behaviour unchanged
 
     def test_mix_totals_equal_instruction_count(self, fib_source):
